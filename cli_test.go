@@ -27,6 +27,29 @@ func runGo(t *testing.T, pkg string, args ...string) string {
 	return string(out)
 }
 
+// runGoFail executes `go run pkg args...` like runGo but requires the
+// command to exit 1 with a one-line error containing want, and no panic.
+func runGoFail(t *testing.T, want, pkg string, args ...string) {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	cmd := exec.Command(goBin, append([]string{"run", pkg}, args...)...)
+	cmd.Dir = "."
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go run %s %v succeeded, want exit 1:\n%s", pkg, args, out)
+	}
+	// go run reports the program's own exit code on its last line.
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 2 || lines[1] != "exit status 1" ||
+		!strings.Contains(lines[0], want) || strings.Contains(string(out), "panic") {
+		t.Errorf("go run %s %v: want one error line containing %q, then exit status 1; got:\n%s",
+			pkg, args, want, out)
+	}
+}
+
 // TestBenchCLISmoke regenerates one tiny figure through the real CLI and
 // checks the report carries the expected sections and schemes.
 func TestBenchCLISmoke(t *testing.T) {
@@ -104,4 +127,30 @@ func TestQuickstartExample(t *testing.T) {
 	if strings.Contains(strings.ToLower(out), "panic") {
 		t.Errorf("quickstart example panicked:\n%s", out)
 	}
+}
+
+// TestBenchCLIRejectsBadThreads checks -threads takes only positive
+// integers: a zero count, a non-number and a mixed list are errors rather
+// than a divide-by-zero panic, an empty figure or a silently trimmed list.
+func TestBenchCLIRejectsBadThreads(t *testing.T) {
+	for _, tc := range []struct{ arg, want string }{
+		{"0", `bad thread count "0"`},
+		{"abc", `bad thread count "abc"`},
+		{"2,x,-4", `bad thread count "x"`},
+	} {
+		runGoFail(t, tc.want, "./cmd/hrwle-bench", "-fig", "fig3", "-scale", "0.01", "-q",
+			"-o", filepath.Join(t.TempDir(), "out.txt"), "-threads", tc.arg)
+	}
+}
+
+// TestShardCLIUnknownScheme checks an unknown scheme name fails up front
+// with the list of known names; adaptive stays valid for the shard sweep.
+func TestShardCLIUnknownScheme(t *testing.T) {
+	runGoFail(t, `unknown scheme "NOPE" (known: RW-LE_OPT,`, "./cmd/hrwle-shard",
+		"-schemes", "adaptive,NOPE", "-q", "-o", filepath.Join(t.TempDir(), "out.txt"))
+}
+
+// TestTraceCLIUnknownScheme checks hrwle-trace validates -scheme the same way.
+func TestTraceCLIUnknownScheme(t *testing.T) {
+	runGoFail(t, `unknown scheme "NOPE"`, "./cmd/hrwle-trace", "-scheme", "SGL,NOPE", "-q")
 }

@@ -27,6 +27,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"hrwle/internal/harness"
@@ -82,6 +84,15 @@ func main() {
 		return
 	}
 
+	var threadCounts []int
+	if *threads != "" {
+		var err error
+		if threadCounts, err = parseInts(*threads); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+
 	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -107,8 +118,8 @@ func main() {
 	var totalEvents int64
 	for _, id := range ids {
 		spec := figs[id]
-		if *threads != "" {
-			spec.Threads = parseInts(*threads)
+		if threadCounts != nil {
+			spec.Threads = threadCounts
 		}
 		start := time.Now()
 		var results []harness.Result
@@ -132,20 +143,14 @@ func main() {
 	}
 }
 
-func parseInts(s string) []int {
+func parseInts(s string) ([]int, error) {
 	var out []int
-	cur := 0
-	have := false
-	for i := 0; i <= len(s); i++ {
-		if i < len(s) && s[i] >= '0' && s[i] <= '9' {
-			cur = cur*10 + int(s[i]-'0')
-			have = true
-			continue
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("bad thread count %q (want positive integer)", part)
 		}
-		if have {
-			out = append(out, cur)
-		}
-		cur, have = 0, false
+		out = append(out, v)
 	}
-	return out
+	return out, nil
 }

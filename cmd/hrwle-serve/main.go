@@ -95,6 +95,9 @@ func main() {
 		if *schemes != "" {
 			spec.Schemes = strings.Split(*schemes, ",")
 		}
+		if err := harness.CheckSchemes(spec.Schemes); err != nil {
+			fatal(err)
+		}
 		if *rates != "" {
 			spec.Rates, err = parseRates(*rates)
 			if err != nil {

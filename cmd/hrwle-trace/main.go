@@ -27,8 +27,9 @@
 //
 // -scheme accepts a comma-separated list; each scheme runs on its own
 // simulated machine (concurrently, up to -j at a time) and the traces are
-// printed in the order given. -json, -chrome and -timeline require a
-// single scheme.
+// printed in the order given; a failing scheme ends the output after the
+// traces before it, as a serial run would. -json, -chrome and -timeline
+// require a single scheme.
 //
 // Usage:
 //
@@ -45,7 +46,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 
 	"hrwle/internal/harness"
 	"hrwle/internal/hashmap"
@@ -95,6 +95,9 @@ func main() {
 	if len(schemes) == 0 {
 		fatal(fmt.Errorf("no scheme given"))
 	}
+	if err := harness.CheckSchemes(schemes); err != nil {
+		fatal(err)
+	}
 	if len(schemes) > 1 && (*jsonOut != "" || *chrome != "" || *timeline != "") {
 		fatal(fmt.Errorf("-json, -chrome and -timeline require a single -scheme, got %d", len(schemes)))
 	}
@@ -108,32 +111,14 @@ func main() {
 
 	// Each scheme traces an independent machine; buffer the reports and
 	// print them in the order the schemes were given, regardless of which
-	// finishes first.
+	// finishes first. The sweep stops at its lowest-index failure, so every
+	// report before that one is complete.
 	bufs := make([]bytes.Buffer, len(schemes))
 	errs := make([]error, len(schemes))
-	workers := *jobs
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(schemes) {
-		workers = len(schemes)
-	}
-	var wg sync.WaitGroup
-	idxCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				errs[i] = traceScheme(&bufs[i], schemes[i], opts)
-			}
-		}()
-	}
-	for i := range schemes {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+	harness.RunIndexed(len(schemes), *jobs, func(i int) error {
+		errs[i] = traceScheme(&bufs[i], schemes[i], opts)
+		return errs[i]
+	}, nil)
 
 	for i := range schemes {
 		if i > 0 {

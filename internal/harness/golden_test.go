@@ -26,7 +26,7 @@ func goldenSpec() *FigureSpec {
 func renderGolden(t *testing.T) ([]byte, []Result) {
 	t.Helper()
 	spec := goldenSpec()
-	results := spec.Run(0.02, nil)
+	results := spec.RunParallel(0.02, nil, 1)
 	var buf bytes.Buffer
 	Print(&buf, spec, results)
 	return buf.Bytes(), results
@@ -60,22 +60,29 @@ func TestGoldenFigureOutput(t *testing.T) {
 }
 
 // TestTracingDoesNotChangeResults is the zero-cost guard: the same sweep
-// with a Collector observing every machine must print byte-identical output
-// and identical cycle counts. Must not run in parallel — the machine
-// observer is a package-level slot.
+// with a Collector observing every machine through PointCtx.Observe must
+// print byte-identical output and identical cycle counts. The observed
+// sweep runs on a worker pool: each point's observer writes only its own
+// slot.
 func TestTracingDoesNotChangeResults(t *testing.T) {
 	base, baseResults := renderGolden(t)
 
-	installs := 0
-	SetMachineObserver(func(m *machine.Machine) {
-		installs++
-		m.SetTracer(machine.MultiTracer{obs.NewCollector(), &machine.CountTracer{}})
+	spec := goldenSpec()
+	installs := make([]int, spec.NumPoints())
+	tracedResults := spec.runPoints(0.02, nil, 4, func(i int) PointCtx {
+		return PointCtx{Observe: func(m *machine.Machine) {
+			installs[i]++
+			m.SetTracer(machine.MultiTracer{obs.NewCollector(), &machine.CountTracer{}})
+		}}
 	})
-	defer SetMachineObserver(nil)
-	traced, tracedResults := renderGolden(t)
+	var buf bytes.Buffer
+	Print(&buf, spec, tracedResults)
+	traced := buf.Bytes()
 
-	if installs != len(baseResults) {
-		t.Errorf("observer installed for %d machines, want %d", installs, len(baseResults))
+	for i, n := range installs {
+		if n != 1 {
+			t.Errorf("point %d: observer installed on %d machines, want 1", i, n)
+		}
 	}
 	if !bytes.Equal(base, traced) {
 		t.Errorf("tracing changed figure output\n--- untraced ---\n%s\n--- traced ---\n%s", base, traced)
@@ -94,7 +101,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 // contract of EXPERIMENTS.md).
 func TestRunWithMetricsMatchesPlainRun(t *testing.T) {
 	spec := goldenSpec()
-	plain := spec.Run(0.02, nil)
+	plain := spec.RunParallel(0.02, nil, 1)
 
 	export := func(dir string) []Result {
 		results, _, err := RunWithMetrics(spec, 0.02, nil, dir, 1)

@@ -8,8 +8,9 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"sync"
+	"strings"
 
 	"hrwle/internal/core"
 	"hrwle/internal/htm"
@@ -92,6 +93,20 @@ func SchemeFactory(name string) rwlock.Factory {
 	panic("harness: unknown scheme " + name)
 }
 
+// CheckSchemes reports an error naming the first entry of schemes that is
+// neither a SchemeFactory name nor one of extra, and listing the names
+// that are known. Sweeps call it before their first point so a typo fails
+// once, up front, instead of panicking inside a point.
+func CheckSchemes(schemes []string, extra ...string) error {
+	known := append(AllSchemes(), extra...)
+	for _, s := range schemes {
+		if !slices.Contains(known, s) {
+			return fmt.Errorf("unknown scheme %q (known: %s)", s, strings.Join(known, ","))
+		}
+	}
+	return nil
+}
+
 // PointCtx carries per-point harness context into a measurement point.
 // Each point builds its own machine, so points are independent and a sweep
 // may run many of them concurrently; anything a point needs from the
@@ -103,16 +118,10 @@ type PointCtx struct {
 	Observe func(*machine.Machine)
 }
 
-// observe notifies the per-point observer, falling back to the package
-// global installed with SetMachineObserver (used by tests and ad-hoc
-// tracing, which run sweeps serially).
+// observe notifies the per-point observer, if any.
 func (ctx PointCtx) observe(m *machine.Machine) {
 	if ctx.Observe != nil {
 		ctx.Observe(m)
-		return
-	}
-	if machineObserver != nil {
-		machineObserver(m)
 	}
 }
 
@@ -132,27 +141,18 @@ type FigureSpec struct {
 	Point     PointFunc
 }
 
-// Run sweeps the whole figure serially and returns all points in a
-// deterministic order. progress, if non-nil, receives one line per
-// completed point.
-func (f *FigureSpec) Run(scale float64, progress io.Writer) []Result {
-	return f.runPoints(scale, progress, 1, nil)
-}
-
-// RunParallel sweeps the figure on a bounded pool of workers goroutines
-// (workers <= 1 means serial). Every point builds its own machine, so
-// points are independent; the returned slice is in the same deterministic
-// order as Run and contains bit-identical Results — only wall-clock time
-// changes. Progress lines are emitted as points complete, so their order
-// varies under parallelism.
+// RunParallel sweeps the figure with RunIndexed on up to workers
+// goroutines (workers <= 1 means serial) and returns all points in a
+// deterministic order. Every point builds its own machine, so the Results
+// are bit-identical at any worker count; only wall-clock time changes.
+// progress, if non-nil, receives one line per completed point, in
+// completion order.
 func (f *FigureSpec) RunParallel(scale float64, progress io.Writer, workers int) []Result {
 	return f.runPoints(scale, progress, workers, nil)
 }
 
-// pointJob identifies one measurement point of a sweep: its coordinates
-// plus its index in the deterministic result order.
+// pointJob holds the sweep coordinates of one measurement point.
 type pointJob struct {
-	idx      int
 	scheme   string
 	threads  int
 	writePct int
@@ -164,7 +164,7 @@ func (f *FigureSpec) jobs() []pointJob {
 	for _, w := range f.WritePcts {
 		for _, n := range f.Threads {
 			for _, s := range f.Schemes {
-				out = append(out, pointJob{idx: len(out), scheme: s, threads: n, writePct: w})
+				out = append(out, pointJob{scheme: s, threads: n, writePct: w})
 			}
 		}
 	}
@@ -176,83 +176,37 @@ func (f *FigureSpec) NumPoints() int {
 	return len(f.Schemes) * len(f.Threads) * len(f.WritePcts)
 }
 
-// runPoints is the shared sweep loop behind Run, RunParallel and
+// runPoints is the shared sweep loop behind RunParallel and
 // RunWithMetrics. mkCtx, if non-nil, supplies the PointCtx for each point
 // index (RunWithMetrics uses it to give every point its own collector
-// slot, keeping the sweep race-free under parallelism).
-//
-//simlint:allow determinism the worker pool parallelizes independent sweep points across host cores; each point runs its own machine from a fixed seed, so results are identical at any worker count
-//simlint:allow abortflow the worker recover propagates point panics across the pool join; the pooled abort signal never reaches it (htm.Thread.Try consumes it inside the simulation) and panicVal is re-panicked verbatim after wg.Wait
+// slot, keeping the sweep race-free under parallelism). A point panic is
+// re-raised on the caller by RunIndexed.
 func (f *FigureSpec) runPoints(scale float64, progress io.Writer, workers int, mkCtx func(int) PointCtx) []Result {
 	jobs := f.jobs()
 	out := make([]Result, len(jobs))
-	var progressMu sync.Mutex
-	runJob := func(j pointJob) {
+	run := func(i int) error {
+		j := jobs[i]
 		var ctx PointCtx
 		if mkCtx != nil {
-			ctx = mkCtx(j.idx)
+			ctx = mkCtx(i)
 		}
 		r := f.Point(ctx, j.scheme, j.threads, j.writePct, scale)
 		r.Figure = f.ID
 		r.Scheme = j.scheme
 		r.Threads = j.threads
 		r.WritePct = j.writePct
-		out[j.idx] = r
-		if progress != nil {
-			progressMu.Lock()
+		out[i] = r
+		return nil
+	}
+	var done func(int)
+	if progress != nil {
+		done = func(i int) {
+			r := out[i]
 			fmt.Fprintf(progress, "  %s w=%d%% n=%d %-12s %.4fs aborts=%4.1f%% ops=%d\n",
-				f.ID, j.writePct, j.threads, j.scheme, r.Seconds(), r.B.AbortRate(), r.B.Ops)
-			progressMu.Unlock()
+				f.ID, r.WritePct, r.Threads, r.Scheme, r.Seconds(), r.B.AbortRate(), r.B.Ops)
 		}
 	}
-
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			runJob(j)
-		}
-		return out
-	}
-
-	// A point that panics (e.g. a simulation hitting its virtual deadline)
-	// must not crash the process from a worker goroutine: capture the first
-	// panic and re-raise it on the caller after the pool drains.
-	var (
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	ch := make(chan pointJob)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicVal == nil {
-								panicVal = r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					runJob(j)
-				}()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
+	RunIndexed(len(jobs), workers, run, done) // run never returns an error
 	return out
 }
 

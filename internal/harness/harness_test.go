@@ -65,7 +65,7 @@ func TestRunAndPrint(t *testing.T) {
 	spec.Threads = []int{2}
 	spec.WritePcts = []int{10}
 	spec.Schemes = []string{"RW-LE_OPT", "SGL"}
-	results := spec.Run(0.01, nil)
+	results := spec.RunParallel(0.01, nil, 1)
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -111,5 +111,20 @@ func TestAdaptiveStateExposed(t *testing.T) {
 	}
 	if r := RunHashmap(PointCtx{}, p, SchemeFactory("RW-LE_OPT")); r.Adaptive != nil {
 		t.Errorf("fixed-budget point reports adaptive state %+v", r.Adaptive)
+	}
+}
+
+// TestCheckSchemes rejects an unknown name with the known list and
+// accepts the extra names a sweep adds.
+func TestCheckSchemes(t *testing.T) {
+	if err := CheckSchemes(AllSchemes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckSchemes([]string{"SGL", ShardAdaptive}, ShardAdaptive); err != nil {
+		t.Fatal(err)
+	}
+	err := CheckSchemes([]string{"SGL", "NOPE_A", "NOPE_B"})
+	if err == nil || !strings.Contains(err.Error(), `"NOPE_A"`) || !strings.Contains(err.Error(), "RW-LE_OPT") {
+		t.Fatalf("err = %v, want the first unknown name and the known list", err)
 	}
 }

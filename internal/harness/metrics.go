@@ -12,17 +12,6 @@ import (
 	"hrwle/internal/obs"
 )
 
-// machineObserver, when non-nil, is invoked by every workload runner right
-// after it constructs its simulated machine and before the run starts —
-// unless the point's PointCtx carries its own Observe hook, which takes
-// precedence. Tests and ad-hoc tracing use this package-level slot with
-// strictly serial sweeps; parallel sweeps must use PointCtx.Observe.
-var machineObserver func(*machine.Machine)
-
-// SetMachineObserver installs (or, with nil, removes) the fallback hook
-// called for every machine a workload runner builds.
-func SetMachineObserver(fn func(*machine.Machine)) { machineObserver = fn }
-
 // RunWithMetrics sweeps figure f like FigureSpec.RunParallel while
 // collecting obs telemetry for every point, then writes one RunMetrics
 // JSON per scheme to dir as <figure>-<scheme>.json. It returns the sweep
@@ -32,9 +21,9 @@ func SetMachineObserver(fn func(*machine.Machine)) { machineObserver = fn }
 func RunWithMetrics(f *FigureSpec, scale float64, progress io.Writer, dir string, workers int) ([]Result, int64, error) {
 	// One collector slot per point: a point may build more than one machine
 	// (e.g. fig10's lazily computed baseline) and only the last one built is
-	// the measured run, matching the serial exporter's semantics. Slots are
-	// written by worker goroutines and read only after the pool drains (the
-	// WaitGroup inside runPoints provides the happens-before edge).
+	// the measured run, matching the serial exporter's semantics. Slot i is
+	// written only by point i and read only after RunIndexed drains its
+	// pool, which provides the happens-before edge.
 	collectors := make([]*obs.Collector, f.NumPoints())
 	mkCtx := func(idx int) PointCtx {
 		return PointCtx{Observe: func(m *machine.Machine) {

@@ -14,7 +14,7 @@ import (
 // time may differ.
 func TestParallelMatchesSerial(t *testing.T) {
 	spec := goldenSpec()
-	serial := spec.Run(0.02, nil)
+	serial := spec.RunParallel(0.02, nil, 1)
 	for _, workers := range []int{2, 4, 16} {
 		parallel := spec.RunParallel(0.02, nil, workers)
 		if len(parallel) != len(serial) {

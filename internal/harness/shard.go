@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"hrwle/internal/obs"
 	"hrwle/internal/shard"
@@ -92,14 +91,15 @@ func (r *ShardReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// RunShard sweeps scheme × shard count × skew on a bounded worker pool
-// (workers <= 1 means serial). Each point builds its own machine from the
-// same seed, so the report is bit-identical at any worker count; progress
-// lines are emitted as points complete, so only their order varies.
-//
-//simlint:allow determinism the worker pool parallelizes independent sweep points across host cores; each point runs its own machine from a fixed seed, so the report is identical at any worker count
-//simlint:allow abortflow the worker recover propagates point panics across the pool join; the pooled abort signal never reaches it (htm.Thread.Try consumes it inside the simulation) and panicVal is re-panicked verbatim after wg.Wait
+// RunShard sweeps scheme × shard count × skew with RunIndexed on up to
+// workers goroutines (workers <= 1 means serial). Each point builds its
+// own machine from the same seed, so the report is bit-identical at any
+// worker count, and so is the error of a failing sweep; progress lines
+// are emitted as points complete, so only their order varies.
 func RunShard(spec ShardSpec, workers int, progress io.Writer) (*ShardReport, error) {
+	if err := CheckSchemes(spec.Schemes, ShardAdaptive); err != nil {
+		return nil, err
+	}
 	base := spec.Base
 	report := &ShardReport{
 		Servers:     base.Servers,
@@ -115,99 +115,36 @@ func RunShard(spec ShardSpec, workers int, progress io.Writer) (*ShardReport, er
 		Points:      make([]*ShardPoint, spec.NumPoints()),
 	}
 
-	type job struct {
-		idx    int
-		scheme string
-		shards int
-		skew   float64
-	}
-	jobs := make([]job, 0, spec.NumPoints())
-	for _, s := range spec.Schemes {
-		for _, sc := range spec.Shards {
-			for _, sk := range spec.Skews {
-				jobs = append(jobs, job{idx: len(jobs), scheme: s, shards: sc, skew: sk})
-			}
-		}
-	}
-
-	var progressMu sync.Mutex
-	var errMu sync.Mutex
-	var firstErr error
-	runJob := func(j job) {
+	run := func(i int) error {
+		// Point i is (scheme, shard count, skew) in the scheme-major
+		// order of ShardReport.point.
+		nk := len(spec.Skews)
+		scheme := spec.Schemes[i/(len(spec.Shards)*nk)]
+		shards, skew := spec.Shards[i/nk%len(spec.Shards)], spec.Skews[i%nk]
 		cfg := base
-		cfg.Shards = j.shards
-		cfg.Keys.Skew = j.skew
+		cfg.Shards = shards
+		cfg.Keys.Skew = skew
 		pal := ShardPalette()
-		if j.scheme != ShardAdaptive {
-			pal = []shard.Scheme{{Name: j.scheme, Mk: SchemeFactory(j.scheme)}}
+		if scheme != ShardAdaptive {
+			pal = []shard.Scheme{{Name: scheme, Mk: SchemeFactory(scheme)}}
 		}
 		res, err := shard.Run(cfg, pal, nil)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard point %s/%d-shards/s=%.1f: %w", j.scheme, j.shards, j.skew, err)
-			}
-			errMu.Unlock()
-			return
+			return fmt.Errorf("shard point %s/%d-shards/s=%.1f: %w", scheme, shards, skew, err)
 		}
-		report.Points[j.idx] = &ShardPoint{Scheme: j.scheme, Shards: j.shards, Skew: j.skew, Result: res}
-		if progress != nil {
-			progressMu.Lock()
+		report.Points[i] = &ShardPoint{Scheme: scheme, Shards: shards, Skew: skew, Result: res}
+		return nil
+	}
+	var done func(int)
+	if progress != nil {
+		done = func(i int) {
+			p := report.Points[i]
 			fmt.Fprintf(progress, "  shard %-10s shards=%-3d s=%.1f achieved=%9.0f/s dropped=%-5d switches=%d\n",
-				j.scheme, j.shards, j.skew, res.Service.AchievedPerSec, res.Service.Dropped, len(res.Switches))
-			progressMu.Unlock()
+				p.Scheme, p.Shards, p.Skew, p.Result.Service.AchievedPerSec, p.Result.Service.Dropped, len(p.Result.Switches))
 		}
 	}
-
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			runJob(j)
-			if firstErr != nil {
-				return nil, firstErr
-			}
-		}
-		return report, nil
-	}
-
-	var (
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicVal == nil {
-								panicVal = r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					runJob(j)
-				}()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := RunIndexed(spec.NumPoints(), workers, run, done); err != nil {
+		return nil, err
 	}
 	return report, nil
 }

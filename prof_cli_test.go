@@ -65,3 +65,11 @@ func TestProfCLIParallelIdentical(t *testing.T) {
 		t.Error("-j changed hrwle-prof JSON output")
 	}
 }
+
+// TestProfCLIUnknownScheme checks an unknown scheme name fails before the
+// first profile point with the list of known names.
+func TestProfCLIUnknownScheme(t *testing.T) {
+	runGoFail(t, `unknown scheme "NOPE" (known: RW-LE_OPT,`, "./cmd/hrwle-prof",
+		"-workload", "hashmap", "-schemes", "NOPE", "-q",
+		"-o", filepath.Join(t.TempDir(), "out.txt"))
+}

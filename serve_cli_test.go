@@ -64,3 +64,11 @@ func TestServeCLIParallelIdentical(t *testing.T) {
 		t.Error("-j changed hrwle-serve JSON output")
 	}
 }
+
+// TestServeCLIUnknownScheme checks unknown scheme names fail before the
+// sweep starts, naming the first of them at any -j.
+func TestServeCLIUnknownScheme(t *testing.T) {
+	runGoFail(t, `unknown scheme "NOPE_A" (known: RW-LE_OPT,`, "./cmd/hrwle-serve",
+		"-workload", "hashmap", "-schemes", "NOPE_A,NOPE_B", "-j", "4", "-q",
+		"-o", filepath.Join(t.TempDir(), "out.txt"))
+}

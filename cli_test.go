@@ -150,6 +150,18 @@ func TestShardCLIUnknownScheme(t *testing.T) {
 		"-schemes", "adaptive,NOPE", "-q", "-o", filepath.Join(t.TempDir(), "out.txt"))
 }
 
+// TestShardCLIBadSkew checks hrwle-shard rejects a negative, NaN or
+// infinite -skews entry with one error line and exit status 1, before any
+// point runs.
+func TestShardCLIBadSkew(t *testing.T) {
+	for _, skew := range []string{"-1", "NaN", "Inf"} {
+		t.Run(skew, func(t *testing.T) {
+			runGoFail(t, "key skew", "./cmd/hrwle-shard",
+				"-skews", "0,"+skew, "-q", "-o", filepath.Join(t.TempDir(), "out.txt"))
+		})
+	}
+}
+
 // TestTraceCLIUnknownScheme checks hrwle-trace validates -scheme the same way.
 func TestTraceCLIUnknownScheme(t *testing.T) {
 	runGoFail(t, `unknown scheme "NOPE"`, "./cmd/hrwle-trace", "-scheme", "SGL,NOPE", "-q")

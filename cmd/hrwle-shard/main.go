@@ -153,8 +153,8 @@ func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad skew %q (want non-negative exponent)", part)
+		if err != nil {
+			return nil, fmt.Errorf("bad skew %q (want a number)", part)
 		}
 		out = append(out, v)
 	}

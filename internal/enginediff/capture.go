@@ -1,7 +1,7 @@
 // Package enginediff is the differential equivalence harness that pins the
 // simulator engine's observable behavior across engine rewrites. It runs a
 // mini version of every figure sweep plus the internal/check DFS and
-// random-walk explorations, and folds three kinds of observables into a
+// random-walk explorations, and folds four kinds of observables into a
 // committed golden capture (testdata/engine_golden.json):
 //
 //   - the complete trace-event stream of every measurement point and every
@@ -9,12 +9,18 @@
 //     address, aux — any reordering or value drift changes the hash);
 //   - the formatted figure tables (Print bytes);
 //   - the checker's reports and violation replay tokens, including the two
-//     seeded mutations that must keep producing the identical token.
+//     seeded mutations that must keep producing the identical token;
+//   - a wide-machine program on 65, 128 and 256 CPUs, the only capture
+//     whose CPUs straddle ID 64, where the per-line sharer and reader
+//     bitmaps leave their first word.
 //
 // The capture in testdata was recorded on the goroutine-per-CPU
 // token-passing engine immediately before it was replaced by the inline
 // coroutine scheduler loop; the test suite asserts the current engine
-// reproduces it bit for bit. Regenerate with
+// reproduces it bit for bit. The wide-machine entries were added later,
+// recorded on the layout whose per-line sharer and reader bitmaps were
+// four inline words, before those records kept one inline word and a side
+// table. Regenerate with
 // `go test ./internal/enginediff -update` ONLY when an intentional
 // simulation-semantics change (never a pure engine change) alters results.
 package enginediff
@@ -26,6 +32,7 @@ import (
 
 	"hrwle/internal/check"
 	"hrwle/internal/harness"
+	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 )
 
@@ -106,11 +113,25 @@ type MutationCapture struct {
 	ReplayStreamHash string `json:"replay_stream_hash"`
 }
 
+// WideCapture records one run of the wide-machine program: its cycles,
+// the fingerprints of its event stream (with HTM data accesses traced) and
+// final memory, and the transaction outcome totals.
+type WideCapture struct {
+	CPUs       int    `json:"cpus"`
+	Cycles     int64  `json:"cycles"`
+	Events     int64  `json:"events"`
+	StreamHash string `json:"stream_hash"`
+	MemHash    string `json:"mem_hash"`
+	Commits    int64  `json:"commits"`
+	Aborts     int64  `json:"aborts"`
+}
+
 // Capture is the full golden record.
 type Capture struct {
 	Figures      []FigureCapture   `json:"figures"`
 	Explorations []ExploreCapture  `json:"explorations"`
 	Mutations    []MutationCapture `json:"mutations"`
+	Wide         []WideCapture     `json:"wide"`
 }
 
 // miniScale is the work multiplier of the per-figure mini-sweeps. It
@@ -156,6 +177,10 @@ func CaptureAll() *Capture {
 	cap.Mutations = []MutationCapture{
 		captureMutation("RW-LE_OPT", check.MutLoseDoomAtResume),
 		captureMutation("RW-LE_PES", check.MutSkipROTQuiesce),
+	}
+
+	for _, n := range wideCPUs {
+		cap.Wide = append(cap.Wide, captureWide(n))
 	}
 	return cap
 }
@@ -231,4 +256,85 @@ func captureMutation(scheme, mutation string) MutationCapture {
 	}
 	mc.ReplayStreamHash = h.hex()
 	return mc
+}
+
+// wideCPUs are the machine sizes of the wide-machine program: one CPU past
+// the first 64-bit bitmap word, exactly two words, and machine.MaxCPUs.
+var wideCPUs = []int{65, 128, 256}
+
+// Layout of the wide-machine program's memory, in words: wideShared
+// shared lines from wideBase, then one private line per CPU.
+const (
+	wideLineWords = 16
+	wideBase      = machine.Addr(wideLineWords)
+	wideShared    = 32
+	widePrivate   = wideBase + wideShared*wideLineWords
+	wideRounds    = 24
+)
+
+// captureWide runs the wide-machine program on a machine of n CPUs. Every
+// CPU draws random operations on the shared lines — coherent reads and
+// writes, untracked HTM-layer loads and stores, CAS, regular transactions
+// that read one shared line and write another, and rollback-only
+// transactions — so CPUs below and above ID 64 share lines, conflict and
+// doom one another. Each CPU also writes and re-reads a private line, the
+// sole-owner write-hit path.
+func captureWide(n int) WideCapture {
+	memWords := int64(widePrivate) + int64(n)*wideLineWords
+	m := machine.New(machine.Config{CPUs: n, MemWords: memWords, Seed: uint64(n)})
+	sys := htm.NewSystem(m, htm.Config{})
+	sys.SetTraceAccesses(true)
+	h := newStreamHash()
+	m.SetTracer(h)
+	var commits int64
+
+	cycles := m.Run(n, func(c *machine.CPU) {
+		t := sys.Thread(c.ID)
+		own := widePrivate + machine.Addr(c.ID*wideLineWords)
+		shared := func() machine.Addr {
+			return wideBase + machine.Addr(c.Intn(wideShared)*wideLineWords+c.Intn(4))
+		}
+		for r := 0; r < wideRounds; r++ {
+			a, b := shared(), shared()
+			v := uint64(c.ID)<<16 | uint64(r)
+			switch c.Intn(7) {
+			case 0:
+				c.Read(a)
+			case 1:
+				c.Write(a, v)
+			case 2:
+				t.Load(a)
+			case 3:
+				t.Store(a, v)
+			case 4:
+				t.CAS(a, t.Load(a), v)
+			case 5:
+				if t.Try(false, func() { t.Store(b, t.Load(a)+v) }).OK {
+					commits++
+				}
+			case 6:
+				if t.Try(true, func() { t.Store(a, v); t.Store(b, t.LoadStream(b)+1) }).OK {
+					commits++
+				}
+			}
+			c.Write(own, v)
+			c.Write(own+1, c.Read(own))
+			c.Work(int64(c.Intn(200)))
+		}
+	})
+
+	mem := newStreamHash()
+	for a := machine.Addr(0); a < machine.Addr(memWords); a++ {
+		mem.word(m.Peek(a))
+	}
+	wc := WideCapture{
+		CPUs: n, Cycles: cycles, Events: h.events,
+		StreamHash: h.hex(), MemHash: mem.hex(), Commits: commits,
+	}
+	for _, st := range sys.Stats(n) {
+		for _, k := range st.Aborts {
+			wc.Aborts += k
+		}
+	}
+	return wc
 }

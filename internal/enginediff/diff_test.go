@@ -86,6 +86,15 @@ func TestEngineEquivalence(t *testing.T) {
 			t.Errorf("mutation %s/%s diverged:\n  got  %+v\n  want %+v", wm.Scheme, wm.Mutation, gm, wm)
 		}
 	}
+
+	if len(got.Wide) != len(want.Wide) {
+		t.Fatalf("wide-machine capture count drifted: got %d, want %d", len(got.Wide), len(want.Wide))
+	}
+	for i, ww := range want.Wide {
+		if gw := got.Wide[i]; gw != ww {
+			t.Errorf("wide-machine program on %d CPUs diverged:\n  got  %+v\n  want %+v", ww.CPUs, gw, ww)
+		}
+	}
 }
 
 // TestCaptureIsDeterministic guards the harness itself: two captures of the

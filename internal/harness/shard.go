@@ -100,6 +100,14 @@ func RunShard(spec ShardSpec, workers int, progress io.Writer) (*ShardReport, er
 	if err := CheckSchemes(spec.Schemes, ShardAdaptive); err != nil {
 		return nil, err
 	}
+	// Reject a bad skew before any point builds its 2M-key store.
+	for _, skew := range spec.Skews {
+		cfg := spec.Base
+		cfg.Keys.Skew = skew
+		if err := cfg.Normalize(); err != nil {
+			return nil, err
+		}
+	}
 	base := spec.Base
 	report := &ShardReport{
 		Servers:     base.Servers,

@@ -95,19 +95,59 @@ func (c *Config) applyDefaults() {
 }
 
 // dirEntry is the per-cache-line conflict-directory state: at most one
-// speculative writer and a bitmap of speculative readers.
+// speculative writer and the bits of CPUs 0..63 in the bitmap of
+// speculative readers. CPUs 64 and up keep their bits in
+// System.wideReaders, so a machine of at most 64 CPUs spends 16 bytes per
+// line.
 type dirEntry struct {
 	writer  *Thread
-	readers [4]uint64
+	readers uint64
 }
 
-func (e *dirEntry) hasReader(id int) bool { return e.readers[id>>6]&(1<<(uint(id)&63)) != 0 }
-func (e *dirEntry) addReader(id int)      { e.readers[id>>6] |= 1 << (uint(id) & 63) }
-func (e *dirEntry) delReader(id int)      { e.readers[id>>6] &^= 1 << (uint(id) & 63) }
-func (e *dirEntry) anyOtherReader(id int) bool {
-	r := e.readers
-	r[id>>6] &^= 1 << (uint(id) & 63)
-	return r[0]|r[1]|r[2]|r[3] != 0
+// readerWord returns the reader bitmap word of line that holds CPU id's bit.
+//
+//simlint:hotpath
+func (s *System) readerWord(line int64, id int) *uint64 {
+	if id < 64 {
+		return &s.dir[line].readers
+	}
+	return &s.wideReaders[line][id>>6-1]
+}
+
+// readerSet returns line's whole reader bitmap, one word per 64 CPUs.
+//
+//simlint:hotpath
+func (s *System) readerSet(line int64) (r [machine.MaxCPUs / 64]uint64) {
+	r[0] = s.dir[line].readers
+	if s.wideReaders != nil {
+		*(*machine.WideBits)(r[1:]) = s.wideReaders[line]
+	}
+	return r
+}
+
+//simlint:hotpath
+func (s *System) hasReader(line int64, id int) bool {
+	return *s.readerWord(line, id)&machine.CPUBit(id) != 0
+}
+
+//simlint:hotpath
+func (s *System) addReader(line int64, id int) { *s.readerWord(line, id) |= machine.CPUBit(id) }
+
+//simlint:hotpath
+func (s *System) delReader(line int64, id int) { *s.readerWord(line, id) &^= machine.CPUBit(id) }
+
+// anyOtherReader reports whether a CPU other than id reads line.
+//
+//simlint:hotpath
+func (s *System) anyOtherReader(line int64, id int) bool {
+	if s.dir[line].readers&^machine.InlineBit(id) != 0 {
+		return true
+	}
+	if s.wideReaders == nil {
+		return false
+	}
+	w := s.wideReaders[line]
+	return w != machine.WideBits{} && w != machine.WideBit(id)
 }
 
 // System is an HTM-capable simulated machine: the machine plus the conflict
@@ -117,6 +157,9 @@ type System struct {
 	Cfg     Config
 	dir     []dirEntry
 	threads []*Thread
+	// wideReaders holds the reader bits of CPUs 64 and up, one entry per
+	// line; nil when the machine has at most 64 CPUs.
+	wideReaders []machine.WideBits
 
 	// traceAccesses gates EvRead/EvWrite emission from Thread.Load,
 	// LoadStream and Store. Default event streams deliberately omit
@@ -132,6 +175,7 @@ func NewSystem(m *machine.Machine, cfg Config) *System {
 	cfg.applyDefaults()
 	s := &System{M: m, Cfg: cfg}
 	s.dir = make([]dirEntry, m.NumLines())
+	s.wideReaders = m.NewWideBits()
 	s.threads = make([]*Thread, m.Cfg.CPUs)
 	for i := range s.threads {
 		s.threads[i] = newThread(s, m.CPU(i))
@@ -200,7 +244,6 @@ type Thread struct {
 
 func newThread(s *System, c *machine.CPU) *Thread {
 	t := &Thread{C: c, sys: s, doom: -1, doomKiller: -1}
-	t.ws.init()
 	// Interrupts and page faults discard speculative state on real
 	// hardware; model both as a non-transactional doom.
 	c.OnInterrupt = t.doomFromEnvironment
@@ -304,7 +347,7 @@ func (t *Thread) abort(cause stats.AbortCause, persistent bool) {
 //simlint:hotpath
 func (t *Thread) rollback() {
 	for _, l := range t.readLines {
-		t.sys.dir[l].delReader(t.C.ID)
+		t.sys.delReader(l, t.C.ID)
 	}
 	for _, l := range t.writeLines {
 		if t.sys.dir[l].writer == t {

@@ -1,7 +1,9 @@
 package htm
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"hrwle/internal/machine"
 	"hrwle/internal/stats"
@@ -589,5 +591,116 @@ func TestDeterministicRuns(t *testing.T) {
 	e2, a2 := run()
 	if e1 != e2 || a1 != a2 {
 		t.Errorf("nondeterministic: (%d %v) vs (%d %v)", e1, a1, e2, a2)
+	}
+}
+
+// TestReaderBitmapWideIDs pins the conflict directory's reader bitmap at
+// the edges of its inline word and its side table (IDs 0, 63, 64, 127,
+// 255): add, has, delete and any-other, and a doom sweep that reaches
+// every reader but the dooming CPU, in ID order.
+func TestReaderBitmapWideIDs(t *testing.T) {
+	ids := []int{0, 63, 64, 127, 255}
+	s := newSys(machine.MaxCPUs)
+	const line = 5
+	for i, id := range ids {
+		if got := s.anyOtherReader(line, id); got != (i > 0) {
+			t.Errorf("before adding CPU %d: anyOtherReader = %v", id, got)
+		}
+		s.addReader(line, id)
+		for j, other := range ids {
+			if got, want := s.hasReader(line, other), j <= i; got != want {
+				t.Errorf("after adding CPUs %v: hasReader(%d) = %v", ids[:i+1], other, got)
+			}
+		}
+	}
+	for _, id := range ids {
+		if !s.anyOtherReader(line, id) {
+			t.Errorf("anyOtherReader(%d) = false with %d readers", id, len(ids))
+		}
+	}
+
+	tr := machine.NewRingTracer(16)
+	s.M.SetTracer(tr)
+	s.Thread(64).doomReaders(line, true, addr(line))
+	for _, id := range ids {
+		if doomed := s.Thread(id).doom >= 0; doomed != (id != 64) {
+			t.Errorf("doomReaders by CPU 64: CPU %d doomed = %v", id, doomed)
+		}
+	}
+	var order []int
+	for _, e := range tr.Events() {
+		order = append(order, e.CPU)
+	}
+	if want := []int{0, 63, 127, 255}; !slices.Equal(order, want) {
+		t.Errorf("doom order %v, want %v", order, want)
+	}
+
+	for _, id := range ids[:len(ids)-1] {
+		s.delReader(line, id)
+		if s.hasReader(line, id) {
+			t.Errorf("delReader(%d) left the bit set", id)
+		}
+	}
+	if s.anyOtherReader(line, 255) || !s.anyOtherReader(line, 0) {
+		t.Error("with CPU 255 the only reader, anyOtherReader is wrong")
+	}
+	s.delReader(line, 255)
+	var none [machine.MaxCPUs / 64]uint64
+	if s.readerSet(line) != none || s.readerSet(line-1) != none || s.readerSet(line+1) != none {
+		t.Error("reader bits left behind or leaked into neighbouring lines")
+	}
+}
+
+// TestDirEntryFootprint pins the host cost of a conflict-directory line:
+// 16 bytes, plus a side table only on machines above 64 CPUs.
+func TestDirEntryFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(dirEntry{}); got != 16 {
+		t.Errorf("dirEntry is %d bytes, want 16", got)
+	}
+	if s := newSys(64); s.wideReaders != nil {
+		t.Error("64-CPU system allocated the wide reader table")
+	}
+	if s := newSys(65); len(s.wideReaders) != s.M.NumLines() {
+		t.Errorf("65-CPU system: wide reader table has %d entries, want %d", len(s.wideReaders), s.M.NumLines())
+	}
+}
+
+// TestWriteSetLazy pins the store buffer's lazy table: a thread that never
+// stores transactionally allocates none, the first store allocates the
+// minimum table, and growth past it and epoch resets keep every entry.
+func TestWriteSetLazy(t *testing.T) {
+	var w writeSet
+	if _, ok := w.get(64); ok || w.addrs != nil {
+		t.Fatal("empty write set reported an entry or holds a table")
+	}
+	if n := testing.AllocsPerRun(100, func() { w.get(64) }); n != 0 {
+		t.Errorf("get on an empty write set allocates %v times", n)
+	}
+	w.reset()
+	w.put(64, 1)
+	if len(w.addrs) != writeSetMinSlots {
+		t.Fatalf("first put: table of %d slots, want %d", len(w.addrs), writeSetMinSlots)
+	}
+	if v, ok := w.get(64); !ok || v != 1 {
+		t.Fatalf("get after first put = %d, %v", v, ok)
+	}
+	w.reset()
+	for round := 0; round < 3; round++ {
+		n := writeSetMinSlots + 7 // forces a grow on the first round
+		for i := 0; i < n; i++ {
+			w.put(machine.Addr(100+i), uint64(round*1000+i))
+		}
+		for i := 0; i < n; i++ {
+			if v, ok := w.get(machine.Addr(100 + i)); !ok || v != uint64(round*1000+i) {
+				t.Fatalf("round %d: get(%d) = %d, %v", round, 100+i, v, ok)
+			}
+		}
+		if len(w.order) != n || w.order[0] != 100 {
+			t.Fatalf("round %d: insertion order has %d entries starting %v", round, len(w.order), w.order[:1])
+		}
+		w.reset()
+		if _, ok := w.get(100); ok {
+			t.Fatalf("round %d: entry survived reset", round)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 // Begin never fails in this model (hardware tbegin reports failures of
 // *prior* attempts through the handler; here failures surface at the first
 // conflicting access or at commit).
+//
 //simlint:hotpath
 func (t *Thread) Begin(rot bool) {
 	if t.mode != ModeNone {
@@ -124,11 +125,6 @@ func (t *Thread) Try(rot bool, fn func()) (status Status) {
 	return Status{OK: true}
 }
 
-// dirAt returns the directory entry covering address a.
-func (t *Thread) dirAt(a machine.Addr) *dirEntry {
-	return &t.sys.dir[t.C.Machine().LineOf(a)]
-}
-
 // Load reads word a with semantics determined by the thread's mode:
 // tracked transactional read (HTM), untracked read (ROT or suspended), or
 // plain non-transactional read. Any speculative writer of the line other
@@ -189,11 +185,11 @@ func (t *Thread) loadData(a machine.Addr) uint64 {
 		}
 		return m.Peek(a)
 	}
-	if t.mode == ModeHTM && !e.hasReader(t.C.ID) {
+	if t.mode == ModeHTM && !t.sys.hasReader(line, t.C.ID) {
 		if len(t.readLines) >= t.sys.Cfg.ReadCapLines {
 			t.abort(stats.AbortCapacity, true)
 		}
-		e.addReader(t.C.ID)
+		t.sys.addReader(line, t.C.ID)
 		t.readLines = append(t.readLines, line)
 	}
 	return m.Peek(a)
@@ -204,6 +200,7 @@ func (t *Thread) loadData(a machine.Addr) uint64 {
 // speculating reader or writer of the line. While suspended or outside a
 // transaction the store is non-transactional: it dooms every transaction
 // speculating on the line and hits memory directly.
+//
 //simlint:hotpath
 func (t *Thread) Store(a machine.Addr, v uint64) {
 	t.C.AccessWrite(a)
@@ -212,7 +209,7 @@ func (t *Thread) Store(a machine.Addr, v uint64) {
 	e := &t.sys.dir[line]
 
 	if t.mode == ModeNone || t.suspended {
-		t.doomAllNonTx(e, a)
+		t.doomAllNonTx(line, a)
 		m.Poke(a, v)
 		if t.sys.traceAccesses {
 			t.C.Emit(machine.EvWrite, a, v)
@@ -224,8 +221,8 @@ func (t *Thread) Store(a machine.Addr, v uint64) {
 	if e.writer != nil && e.writer != t {
 		e.writer.setDoom(true, t.C.ID, a)
 	}
-	if e.anyOtherReader(t.C.ID) {
-		t.doomReaders(e, true, a)
+	if t.sys.anyOtherReader(line, t.C.ID) {
+		t.doomReaders(line, true, a)
 	}
 	if e.writer != t {
 		capacity := t.sys.Cfg.WriteCapLines
@@ -254,9 +251,8 @@ func (t *Thread) CAS(a machine.Addr, old, new uint64) bool {
 	if t.mode != ModeNone && !t.suspended {
 		panic("htm: CAS inside active transaction (use Load+Store)")
 	}
-	e := t.dirAt(a)
 	ok := t.C.CAS(a, old, new)
-	t.doomAllNonTx(e, a)
+	t.doomAllNonTx(t.C.Machine().LineOf(a), a)
 	return ok
 }
 
@@ -314,20 +310,23 @@ func (t *Thread) FreeAligned(a machine.Addr, n int64) {
 	t.C.FreeAligned(a, n)
 }
 
-// doomAllNonTx dooms the writer and all readers of e due to a
+// doomAllNonTx dooms the writer and all readers of line due to a
 // non-transactional access by t at address a.
-func (t *Thread) doomAllNonTx(e *dirEntry, a machine.Addr) {
-	if e.writer != nil && e.writer != t {
-		e.writer.setDoom(false, t.C.ID, a)
+func (t *Thread) doomAllNonTx(line int64, a machine.Addr) {
+	if w := t.sys.dir[line].writer; w != nil && w != t {
+		w.setDoom(false, t.C.ID, a)
 	}
-	if e.anyOtherReader(t.C.ID) {
-		t.doomReaders(e, false, a)
+	if t.sys.anyOtherReader(line, t.C.ID) {
+		t.doomReaders(line, false, a)
 	}
 }
 
-func (t *Thread) doomReaders(e *dirEntry, sourceTx bool, a machine.Addr) {
-	for w := 0; w < len(e.readers); w++ {
-		mask := e.readers[w]
+// doomReaders dooms every speculative reader of line except t, in CPU ID
+// order.
+//
+//simlint:hotpath
+func (t *Thread) doomReaders(line int64, sourceTx bool, a machine.Addr) {
+	for w, mask := range t.sys.readerSet(line) {
 		for mask != 0 {
 			id := w<<6 + bits.TrailingZeros64(mask)
 			mask &= mask - 1

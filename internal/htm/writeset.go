@@ -1,6 +1,10 @@
 package htm
 
-import "hrwle/internal/machine"
+import (
+	"math/bits"
+
+	"hrwle/internal/machine"
+)
 
 // writeSet is the transactional store buffer: an open-addressed hash table
 // from word address to buffered value. It replaces a Go map on the
@@ -28,20 +32,14 @@ type writeSet struct {
 	n     int
 }
 
+// writeSetMinSlots is the table size allocated by a thread's first
+// transactional store; the zero writeSet is empty and allocates nothing,
+// so threads that never store transactionally cost no table.
 const writeSetMinSlots = 256
 
-func (w *writeSet) init() {
-	w.addrs = make([]machine.Addr, writeSetMinSlots)
-	w.vals = make([]uint64, writeSetMinSlots)
-	w.stamp = make([]uint32, writeSetMinSlots)
-	w.shift = 64
-	for s := 1; s < writeSetMinSlots; s <<= 1 {
-		w.shift--
-	}
-	w.epoch = 1
-}
-
-// reset discards all entries in O(1) by advancing the epoch.
+// reset discards all entries in O(1) by advancing the epoch. Epoch 0 is
+// never live once a table exists (grow and the wrap below skip it), so
+// the zeroed stamps of a fresh table read as empty.
 func (w *writeSet) reset() {
 	w.n = 0
 	w.order = w.order[:0]
@@ -59,7 +57,12 @@ func (w *writeSet) slot(a machine.Addr) int {
 }
 
 // get returns the buffered value for a, if any.
+//
+//simlint:hotpath
 func (w *writeSet) get(a machine.Addr) (uint64, bool) {
+	if w.n == 0 {
+		return 0, false
+	}
 	mask := len(w.addrs) - 1
 	for i := w.slot(a); ; i = (i + 1) & mask {
 		if w.stamp[i] != w.epoch {
@@ -73,6 +76,8 @@ func (w *writeSet) get(a machine.Addr) (uint64, bool) {
 
 // put buffers the store a←v, appending a to the insertion order on first
 // write to that address.
+//
+//simlint:hotpath
 func (w *writeSet) put(a machine.Addr, v uint64) {
 	if 2*(w.n+1) > len(w.addrs) {
 		w.grow()
@@ -94,14 +99,18 @@ func (w *writeSet) put(a machine.Addr, v uint64) {
 	}
 }
 
-// grow doubles the table and re-inserts the live entries.
+// grow doubles the table, or allocates the first one, and re-inserts the
+// live entries.
 func (w *writeSet) grow() {
 	oldAddrs, oldVals, oldStamp := w.addrs, w.vals, w.stamp
-	size := 2 * len(oldAddrs)
+	size := max(2*len(oldAddrs), writeSetMinSlots)
 	w.addrs = make([]machine.Addr, size)
 	w.vals = make([]uint64, size)
 	w.stamp = make([]uint32, size)
-	w.shift--
+	w.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	if w.epoch == 0 {
+		w.epoch = 1
+	}
 	mask := size - 1
 	for j, st := range oldStamp {
 		if st != w.epoch {

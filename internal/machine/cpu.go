@@ -419,15 +419,16 @@ func (c *CPU) AccessRead(a Addr) {
 	if c.fast {
 		return
 	}
-	l := &c.m.lines[c.m.LineOf(a)]
+	li := c.m.LineOf(a)
+	l := &c.m.lines[li]
 	t0 := c.now
 	if l.exclUntil > t0 {
 		t0 = l.exclUntil
 	}
 	cost := c.m.Cfg.Costs.L1Hit
-	if int(l.owner) != c.ID && !l.isSharer(c.ID) {
+	if int(l.owner) != c.ID+1 && !c.m.isSharer(li, c.ID) {
 		cost = c.m.Cfg.Costs.ReadMiss
-		l.addSharer(c.ID)
+		c.m.addSharer(li, c.ID)
 	}
 	c.now = t0 + cost
 }
@@ -447,19 +448,20 @@ func (c *CPU) AccessReadStream(a Addr) {
 	if c.fast {
 		return
 	}
-	l := &c.m.lines[c.m.LineOf(a)]
+	li := c.m.LineOf(a)
+	l := &c.m.lines[li]
 	t0 := c.now
 	if l.exclUntil > t0 {
 		t0 = l.exclUntil
 	}
 	cost := c.m.Cfg.Costs.L1Hit
-	if int(l.owner) != c.ID && !l.isSharer(c.ID) {
+	if int(l.owner) != c.ID+1 && !c.m.isSharer(li, c.ID) {
 		cost = c.m.Cfg.Costs.ReadMiss
 		if c.streamRun > 0 {
 			cost /= mlpOverlap
 		}
 		c.streamRun++
-		l.addSharer(c.ID)
+		c.m.addSharer(li, c.ID)
 	}
 	c.now = t0 + cost
 }
@@ -477,16 +479,17 @@ func (c *CPU) AccessWrite(a Addr) {
 	if c.fast {
 		return
 	}
-	l := &c.m.lines[c.m.LineOf(a)]
+	li := c.m.LineOf(a)
+	l := &c.m.lines[li]
 	t0 := c.now
 	if l.exclUntil > t0 {
 		t0 = l.exclUntil
 	}
-	if int(l.owner) == c.ID && l.onlySharer(c.ID) {
+	if int(l.owner) == c.ID+1 && c.m.onlySharer(li, c.ID) {
 		c.now = t0 + c.m.Cfg.Costs.WriteHit
 		return
 	}
-	l.setExclusive(c.ID)
+	c.m.setExclusive(li, c.ID)
 	l.exclUntil = t0 + c.m.Cfg.Costs.LineTransfer
 	c.now = t0 + c.m.Cfg.Costs.WriteMiss
 }

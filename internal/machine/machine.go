@@ -108,38 +108,108 @@ func (cfg *Config) applyDefaults() {
 }
 
 // line holds per-cache-line coherence state: the time until which the line
-// is reserved by an exclusive transfer, the last exclusive owner, and a
-// bitmap of CPUs that have read the line since the last write.
+// is reserved by an exclusive transfer, the last exclusive owner, and the
+// bits of CPUs 0..63 in the bitmap of CPUs that have read the line since
+// the last write. CPUs 64 and up keep their bits in Machine.wideSharers,
+// so a machine of at most 64 CPUs spends 24 bytes per line.
 type line struct {
 	exclUntil int64
-	owner     int32
-	sharers   [4]uint64
+	owner     int32 // last exclusive owner's ID + 1; 0 = never written
+	sharers   uint64
 }
 
-func (l *line) isSharer(id int) bool { return l.sharers[id>>6]&(1<<(uint(id)&63)) != 0 }
-func (l *line) addSharer(id int)     { l.sharers[id>>6] |= 1 << (uint(id) & 63) }
-func (l *line) setExclusive(id int) {
-	l.owner = int32(id)
-	l.sharers = [4]uint64{}
-	l.addSharer(id)
+// WideBits holds one line's bitmap bits of CPUs 64..MaxCPUs-1, one word
+// per 64 CPUs. Per-line CPU bitmaps (the coherence sharers here, the HTM
+// directory's readers) keep CPUs 0..63 in one inline word and these words
+// in a side table that only machines above 64 CPUs allocate.
+type WideBits [MaxCPUs/64 - 1]uint64
+
+// NewWideBits returns a zeroed side table with one WideBits per cache
+// line, or nil when the machine has at most 64 CPUs and needs none.
+func (m *Machine) NewWideBits() []WideBits {
+	if m.Cfg.CPUs <= 64 {
+		return nil
+	}
+	return make([]WideBits, len(m.lines))
 }
-func (l *line) onlySharer(id int) bool {
-	var want [4]uint64
-	want[id>>6] = 1 << (uint(id) & 63)
-	return l.sharers == want
+
+// CPUBit is CPU id's bit within its 64-bit bitmap word.
+//
+//simlint:hotpath
+func CPUBit(id int) uint64 { return 1 << (uint(id) & 63) }
+
+// InlineBit is CPU id's bit in a per-line inline bitmap word, 0 when
+// id ≥ 64.
+//
+//simlint:hotpath
+func InlineBit(id int) uint64 {
+	if id >= 64 {
+		return 0
+	}
+	return CPUBit(id)
+}
+
+// WideBit is CPU id's bit in a line's side-table words, all zero when
+// id < 64.
+//
+//simlint:hotpath
+func WideBit(id int) (w WideBits) {
+	if id >= 64 {
+		w[id>>6-1] = CPUBit(id)
+	}
+	return w
+}
+
+// sharerWord returns the bitmap word of line li that holds CPU id's bit.
+//
+//simlint:hotpath
+func (m *Machine) sharerWord(li int64, id int) *uint64 {
+	if id < 64 {
+		return &m.lines[li].sharers
+	}
+	return &m.wideSharers[li][id>>6-1]
+}
+
+//simlint:hotpath
+func (m *Machine) isSharer(li int64, id int) bool { return *m.sharerWord(li, id)&CPUBit(id) != 0 }
+
+//simlint:hotpath
+func (m *Machine) addSharer(li int64, id int) { *m.sharerWord(li, id) |= CPUBit(id) }
+
+// setExclusive makes CPU id the owner and only sharer of line li.
+//
+//simlint:hotpath
+func (m *Machine) setExclusive(li int64, id int) {
+	l := &m.lines[li]
+	l.owner = int32(id) + 1
+	l.sharers = 0
+	if m.wideSharers != nil {
+		m.wideSharers[li] = WideBits{}
+	}
+	m.addSharer(li, id)
+}
+
+// onlySharer reports whether CPU id is line li's one sharer.
+//
+//simlint:hotpath
+func (m *Machine) onlySharer(li int64, id int) bool {
+	return m.lines[li].sharers == InlineBit(id) && (m.wideSharers == nil || m.wideSharers[li] == WideBit(id))
 }
 
 // Machine is a simulated shared-memory multiprocessor.
 type Machine struct {
-	Cfg       Config
-	words     []uint64
-	lines     []line
-	cpus      []*CPU
-	heap      cpuHeap
-	pager     pager
-	alloc     arena
-	baseTime  int64
-	lineShift uint
+	Cfg   Config
+	words []uint64
+	lines []line
+	// wideSharers holds the sharer bits of CPUs 64 and up, one entry per
+	// line; nil when Cfg.CPUs <= 64.
+	wideSharers []WideBits
+	cpus        []*CPU
+	heap        cpuHeap
+	pager       pager
+	alloc       arena
+	baseTime    int64
+	lineShift   uint
 
 	tracer Tracer
 	sched  Scheduler
@@ -165,9 +235,7 @@ func New(cfg Config) *Machine {
 	nLines := (cfg.MemWords + cfg.LineWords - 1) >> m.lineShift
 	m.words = make([]uint64, cfg.MemWords)
 	m.lines = make([]line, nLines)
-	for i := range m.lines {
-		m.lines[i].owner = -1
-	}
+	m.wideSharers = m.NewWideBits()
 	m.pager.init(cfg)
 	m.alloc.init(cfg.MemWords, cfg.LineWords)
 	m.cpus = make([]*CPU, cfg.CPUs)

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testConfig(cpus int) Config {
@@ -403,4 +404,58 @@ func TestAllocatorAlignedReuse(t *testing.T) {
 			t.Errorf("alloc/free churn grew the heap by %d words", m.HeapUsed()-heap)
 		}
 	})
+}
+
+// TestSharerBitmapWideIDs pins the per-line sharer bitmap at the edges of
+// its inline word and its side table (IDs 0, 63, 64, 127, 255): each bit
+// lands in its own word, setExclusive clears every other word, and
+// neighbouring lines are untouched.
+func TestSharerBitmapWideIDs(t *testing.T) {
+	ids := []int{0, 63, 64, 127, 255}
+	m := New(Config{CPUs: MaxCPUs, MemWords: 1 << 10})
+	const li = 3
+	for i, id := range ids {
+		if m.isSharer(li, id) {
+			t.Fatalf("fresh line: CPU %d already a sharer", id)
+		}
+		m.addSharer(li, id)
+		for j, other := range ids {
+			if got, want := m.isSharer(li, other), j <= i; got != want {
+				t.Errorf("after adding CPUs %v: isSharer(%d) = %v", ids[:i+1], other, got)
+			}
+		}
+		if got := m.onlySharer(li, id); got != (i == 0) {
+			t.Errorf("after adding CPUs %v: onlySharer(%d) = %v", ids[:i+1], id, got)
+		}
+	}
+	for _, id := range ids {
+		m.setExclusive(li, id)
+		if m.lines[li].owner != int32(id)+1 || !m.onlySharer(li, id) {
+			t.Errorf("setExclusive(%d): owner %d, onlySharer %v", id, m.lines[li].owner-1, m.onlySharer(li, id))
+		}
+		for _, other := range ids {
+			if other != id && m.isSharer(li, other) {
+				t.Errorf("setExclusive(%d) left CPU %d a sharer", id, other)
+			}
+		}
+	}
+	for _, id := range ids {
+		if m.isSharer(li-1, id) || m.isSharer(li+1, id) {
+			t.Errorf("CPU %d's bit leaked into a neighbouring line", id)
+		}
+	}
+}
+
+// TestLineFootprint pins the host cost of a simulated cache line: 24 bytes
+// of coherence state, plus a side table only on machines above 64 CPUs.
+func TestLineFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 24 {
+		t.Errorf("line is %d bytes, want 24", got)
+	}
+	if m := New(Config{CPUs: 64, MemWords: 1 << 10}); m.wideSharers != nil {
+		t.Error("64-CPU machine allocated the wide sharer table")
+	}
+	if m := New(Config{CPUs: 65, MemWords: 1 << 10}); len(m.wideSharers) != m.NumLines() {
+		t.Errorf("65-CPU machine: wide sharer table has %d entries, want %d", len(m.wideSharers), m.NumLines())
+	}
 }

@@ -226,8 +226,8 @@ func (c *Config) applyDefaults() error {
 		c.Seed = 1
 	}
 	if c.Keys.Universe > 0 {
-		if c.Keys.Skew < 0 {
-			return fmt.Errorf("service: key skew %v negative", c.Keys.Skew)
+		if err := checkSkew(c.Keys.Skew); err != nil {
+			return err
 		}
 		if c.Keys.CrossPct < 0 || c.Keys.CrossPct > 100 {
 			return fmt.Errorf("service: CrossPct %d outside [0,100]", c.Keys.CrossPct)

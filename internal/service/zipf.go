@@ -25,13 +25,23 @@ type Zipf struct {
 	cdf []float64 // cdf[k] = P(X ≤ k); cdf[n-1] == 1 by construction
 }
 
-// NewZipf builds a sampler over ranks [0, n) with exponent s.
+// checkSkew reports whether s is a usable Zipf exponent: finite and ≥ 0.
+func checkSkew(s float64) error {
+	if !(s >= 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("service: key skew %v (want a finite exponent ≥ 0)", s)
+	}
+	return nil
+}
+
+// NewZipf builds a sampler over ranks [0, n) with exponent s. Configs
+// reach it only through validation (Config.Normalize, GenerateSchedule),
+// so a bad n or s here is a caller bug and panics.
 func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic(fmt.Sprintf("service: Zipf universe %d (want > 0)", n))
 	}
-	if s < 0 || math.IsNaN(s) {
-		panic(fmt.Sprintf("service: Zipf exponent %v (want ≥ 0)", s))
+	if err := checkSkew(s); err != nil {
+		panic(err.Error())
 	}
 	cdf := make([]float64, n)
 	sum := 0.0

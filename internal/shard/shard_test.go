@@ -3,6 +3,8 @@ package shard_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"hrwle/internal/core"
@@ -206,5 +208,43 @@ func TestShardFixedNeverSwitches(t *testing.T) {
 		if s.Final != "SGL" || s.Switches != 0 {
 			t.Fatalf("shard %d: final %q, %d switches", s.Shard, s.Final, s.Switches)
 		}
+	}
+}
+
+// TestBadSkewIsAnError pins that a negative, NaN or infinite key skew is a
+// config error from both schedule generation and a sharded run, never a
+// panic in the Zipf table builder; valid exponents stay accepted.
+func TestBadSkewIsAnError(t *testing.T) {
+	cases := []struct {
+		name string
+		skew float64
+		ok   bool
+	}{
+		{"uniform", 0, true},
+		{"skewed", 1.2, true},
+		{"negative", -1, false},
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Requests = 50
+			cfg.Keys.Skew = tc.skew
+			_, genErr := service.GenerateSchedule(cfg.Config)
+			_, runErr := shard.Run(cfg, sglOnly(), nil)
+			for _, r := range []struct {
+				what string
+				err  error
+			}{{"GenerateSchedule", genErr}, {"shard.Run", runErr}} {
+				if tc.ok && r.err != nil {
+					t.Errorf("%s: unexpected error %v", r.what, r.err)
+				}
+				if !tc.ok && (r.err == nil || !strings.Contains(r.err.Error(), "key skew")) {
+					t.Errorf("%s: err = %v, want a key-skew error", r.what, r.err)
+				}
+			}
+		})
 	}
 }

@@ -2,12 +2,17 @@ package hrwle
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+var updateFlags = flag.Bool("update", false, "rewrite testdata/cli_flags.txt from the commands' -h output")
 
 // runGo executes `go run pkg args...` from the repo root and returns the
 // combined output. Skips the test when no go tool is on PATH (e.g. a
@@ -31,6 +36,12 @@ func runGo(t *testing.T, pkg string, args ...string) string {
 // command to exit 1 with a one-line error containing want, and no panic.
 func runGoFail(t *testing.T, want, pkg string, args ...string) {
 	t.Helper()
+	runGoExit(t, 1, want, pkg, args...)
+}
+
+// runGoExit is runGoFail for a command that must exit with code.
+func runGoExit(t *testing.T, code int, want, pkg string, args ...string) {
+	t.Helper()
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not on PATH")
@@ -39,14 +50,15 @@ func runGoFail(t *testing.T, want, pkg string, args ...string) {
 	cmd.Dir = "."
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("go run %s %v succeeded, want exit 1:\n%s", pkg, args, out)
+		t.Fatalf("go run %s %v succeeded, want exit %d:\n%s", pkg, args, code, out)
 	}
 	// go run reports the program's own exit code on its last line.
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) != 2 || lines[1] != "exit status 1" ||
-		!strings.Contains(lines[0], want) || strings.Contains(string(out), "panic") {
-		t.Errorf("go run %s %v: want one error line containing %q, then exit status 1; got:\n%s",
-			pkg, args, want, out)
+	if len(lines) != 2 || lines[1] != fmt.Sprintf("exit status %d", code) ||
+		!strings.Contains(lines[0], want) ||
+		strings.Contains(string(out), "panic") || strings.Contains(string(out), "goroutine") {
+		t.Errorf("go run %s %v: want one error line containing %q, then exit status %d; got:\n%s",
+			pkg, args, want, code, out)
 	}
 }
 
@@ -165,4 +177,125 @@ func TestShardCLIBadSkew(t *testing.T) {
 // TestTraceCLIUnknownScheme checks hrwle-trace validates -scheme the same way.
 func TestTraceCLIUnknownScheme(t *testing.T) {
 	runGoFail(t, `unknown scheme "NOPE"`, "./cmd/hrwle-trace", "-scheme", "SGL,NOPE", "-q")
+}
+
+// TestCLIBadInputIsAnError runs every command with an out-of-range flag
+// value: a CPU count above machine.MaxCPUs, a zero or negative count, a
+// negative service knob or an out-of-range percentage. Each must exit with
+// one error line naming the flag — 1, or 2 for hrwle-check's usage errors —
+// and never panic, hang on the default sweep, or silently run with the
+// flag's default instead.
+func TestCLIBadInputIsAnError(t *testing.T) {
+	out := func() string { return filepath.Join(t.TempDir(), "out.txt") }
+	serve := []string{"-workload", "hashmap", "-schemes", "SGL", "-rates", "1e5", "-requests", "50", "-q"}
+	prof := []string{"-workload", "hashmap", "-schemes", "SGL", "-requests", "50", "-q"}
+	shard := []string{"-shards", "4", "-skews", "0", "-schemes", "SGL", "-requests", "50", "-universe", "1024", "-q"}
+	bench := []string{"-fig", "fig3", "-scale", "0.01", "-q"}
+	check := []string{"-budget", "10"}
+	for _, tc := range []struct {
+		pkg  string
+		base []string
+		flag []string
+		want string
+		code int
+	}{
+		{"hrwle-serve", serve, []string{"-servers", "300"}, "300 servers", 1},
+		{"hrwle-serve", serve, []string{"-servers", "-1"}, "-servers -1", 1},
+		{"hrwle-serve", serve, []string{"-requests", "-5"}, "-requests -5", 1},
+		{"hrwle-serve", serve, []string{"-queue-cap", "-4"}, "-queue-cap -4", 1},
+		{"hrwle-prof", prof, []string{"-servers", "300"}, "300 servers", 1},
+		{"hrwle-prof", prof, []string{"-rate", "-3"}, "-rate -3", 1},
+		{"hrwle-prof", prof, []string{"-window", "-5"}, "-window -5", 1},
+		{"hrwle-shard", shard, []string{"-servers", "300"}, "300 servers", 1},
+		{"hrwle-trace", []string{"-q"}, []string{"-threads", "300"}, "-threads 300", 1},
+		{"hrwle-trace", []string{"-q"}, []string{"-threads", "0"}, "-threads 0", 1},
+		{"hrwle-trace", []string{"-q"}, []string{"-threads", "-2"}, "-threads -2", 1},
+		{"hrwle-trace", nil, []string{"-n", "0"}, "-n 0", 1},
+		{"hrwle-trace", nil, []string{"-n", "-1"}, "-n -1", 1},
+		{"hrwle-trace", []string{"-q"}, []string{"-ops", "-1"}, "-ops -1", 1},
+		{"hrwle-bench", bench, []string{"-threads", "300"}, `-threads: bad thread count "300"`, 1},
+		{"hrwle-check", check, []string{"-threads", "300"}, "-threads 300", 2},
+		{"hrwle-check", check, []string{"-threads", "-1"}, "-threads -1", 2},
+		{"hrwle-check", check, []string{"-ops", "-1"}, "-ops -1", 2},
+		{"hrwle-check", check, []string{"-walk-pct", "500"}, "-walk-pct 500", 2},
+	} {
+		t.Run(tc.pkg+strings.Join(tc.flag, "_"), func(t *testing.T) {
+			args := append(append([]string{}, tc.base...), tc.flag...)
+			if tc.pkg != "hrwle-trace" && tc.pkg != "hrwle-check" {
+				args = append(args, "-o", out())
+			}
+			runGoExit(t, tc.code, tc.want, "./cmd/"+tc.pkg, args...)
+		})
+	}
+}
+
+// TestCLISharedSyntax checks the commands read a shared flag the same way:
+// comma lists are trimmed entry by entry, and -window takes the float
+// notation (1e6) that hrwle-prof's usage text shows.
+func TestCLISharedSyntax(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.txt")
+	tl := filepath.Join(dir, "timeline.json")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"serve-lists", []string{"./cmd/hrwle-serve", "-workload", "hashmap", "-schemes", "SGL, HLE", "-rates", "1e5, 2e5", "-requests", "50", "-q", "-o", out}},
+		{"serve-window", []string{"./cmd/hrwle-serve", "-workload", "hashmap", "-schemes", "SGL", "-rates", "1e5", "-requests", "50", "-q", "-o", out, "-timeline", tl, "-window", "1e6"}},
+		{"prof-lists", []string{"./cmd/hrwle-prof", "-workload", "hashmap", "-schemes", "SGL, HLE", "-requests", "50", "-window", "1e6", "-q", "-o", out}},
+		{"shard-lists", []string{"./cmd/hrwle-shard", "-schemes", "adaptive, SGL", "-shards", "4, 8", "-skews", "0, 1.2", "-servers", "8", "-requests", "50", "-universe", "1024", "-window", "2e4", "-q", "-o", out}},
+		{"trace-lists", []string{"./cmd/hrwle-trace", "-scheme", "SGL, HLE", "-ops", "5", "-q"}},
+		{"trace-window", []string{"./cmd/hrwle-trace", "-ops", "5", "-q", "-timeline", tl, "-window", "1e6"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runGo(t, tc.args[0], tc.args[1:]...) })
+	}
+}
+
+// TestCLIFlagSets pins every command's flag names and the defaults its -h
+// text shows against testdata/cli_flags.txt, recorded from the commands
+// as they were before they moved onto internal/cli (less hrwle-bench's
+// retired -bench and -bench-baseline). A flag dropped or renamed, or a
+// default changed, shows up as a diff. -j defaults to GOMAXPROCS, so the
+// commands run with GOMAXPROCS=2.
+func TestCLIFlagSets(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	// The last "(default X)" of a flag's help text; of "(default 64, max
+	// 256)" only the value.
+	defaultRE := regexp.MustCompile(`\(default ("[^"]*"|.*?)(?:, |\))`)
+	var got []string
+	for _, name := range []string{"hrwle-bench", "hrwle-check", "hrwle-prof", "hrwle-serve", "hrwle-shard", "hrwle-trace", "hrwle-vet"} {
+		cmd := exec.Command(goBin, "run", "./cmd/"+name, "-h")
+		cmd.Env = append(os.Environ(), "GOMAXPROCS=2")
+		help, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", name, err, help)
+		}
+		for _, line := range strings.Split(string(help), "\n") {
+			if strings.HasPrefix(line, "  -") {
+				got = append(got, name+" "+strings.Fields(line)[0])
+			} else if !strings.HasPrefix(line, "    \t") {
+				continue
+			}
+			if m := defaultRE.FindAllStringSubmatch(line, -1); m != nil {
+				flag, _, _ := strings.Cut(got[len(got)-1], " (default")
+				got[len(got)-1] = flag + " (default " + m[len(m)-1][1] + ")"
+			}
+		}
+	}
+	const golden = "testdata/cli_flags.txt"
+	if *updateFlags {
+		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing %s (regenerate with -update): %v", golden, err)
+	}
+	if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+		t.Errorf("flag sets differ from %s:\n--- got ---\n%s--- want ---\n%s", golden, g, want)
+	}
 }

@@ -7,7 +7,6 @@
 //	hrwle-bench -fig fig3 [-scale 0.25] [-o fig3.txt]
 //	hrwle-bench -fig all  [-scale 1] [-j 8]
 //	hrwle-bench -fig fig5 -metrics-dir results/metrics   # + RunMetrics JSON
-//	hrwle-bench -bench results/BENCH_PR4.json [-bench-baseline results/BENCH_SEED.json]
 //
 // Each figure prints three panels matching the paper: execution time (or
 // throughput), the abort-cause breakdown, and the commit-path breakdown.
@@ -16,21 +15,16 @@
 // measurement points concurrently (each point is an independent simulated
 // machine; results are deterministic and ordered regardless of -j).
 //
-// -bench skips figure output and instead runs the fixed wall-clock
-// mini-sweep, writing a BenchReport JSON (sim cycles/sec, points/sec,
-// parallel speedup, HTM-path allocs/op) to the given file.
+// The wall-clock benchmark of the simulator is simbench (simbench/run.sh).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/harness"
 )
 
@@ -38,42 +32,12 @@ func main() {
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate (fig3..fig10, retries, split, or 'all')")
 		scale      = flag.Float64("scale", 1.0, "work multiplier per measurement point")
-		out        = flag.String("o", "", "write results to file (default stdout)")
 		list       = flag.Bool("list", false, "list available figures")
-		quiet      = flag.Bool("q", false, "suppress per-point progress")
 		threads    = flag.String("threads", "", "override thread counts, e.g. 2,8,32")
 		metricsDir = flag.String("metrics-dir", "", "collect obs telemetry and write one RunMetrics JSON per (figure, scheme) into this directory (e.g. results/metrics)")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "measurement points to run concurrently")
-		bench      = flag.String("bench", "", "run the fixed wall-clock mini-sweep and write a BenchReport JSON to this file")
-		benchBase  = flag.String("bench-baseline", "", "prior BenchReport JSON to compare against in -bench mode")
+		sweep      = cli.SweepFlags()
 	)
 	flag.Parse()
-
-	var progress io.Writer = os.Stderr
-	if *quiet {
-		progress = nil
-	}
-
-	if *bench != "" {
-		rep, err := harness.RunBench(*jobs, *benchBase, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Println(rep.Summary())
-		fmt.Printf("report written to %s\n", *bench)
-		return
-	}
 
 	figs := harness.Registry()
 	if *list || *fig == "" {
@@ -85,36 +49,21 @@ func main() {
 	}
 
 	var threadCounts []int
-	if *threads != "" {
-		var err error
-		if threadCounts, err = parseInts(*threads); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if err := cli.Threads(&threadCounts, *threads); err != nil {
+		cli.Fatal(err)
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	var ids []string
+	ids := []string{*fig}
 	if *fig == "all" {
 		ids = harness.SortedIDs(figs)
-	} else {
-		if _, ok := figs[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q (use -list)\n", *fig)
-			os.Exit(1)
-		}
-		ids = []string{*fig}
+	} else if _, ok := figs[*fig]; !ok {
+		cli.Fatal(fmt.Errorf("unknown figure %q (use -list)", *fig))
 	}
 
+	w, err := cli.Create(sweep.Out)
+	if err != nil {
+		cli.Fatal(err)
+	}
 	var totalEvents int64
 	for _, id := range ids {
 		spec := figs[id]
@@ -124,33 +73,22 @@ func main() {
 		start := time.Now()
 		var results []harness.Result
 		if *metricsDir != "" {
-			var err error
 			var events int64
-			results, events, err = harness.RunWithMetrics(spec, *scale, progress, *metricsDir, *jobs)
+			results, events, err = harness.RunWithMetrics(spec, *scale, sweep.Progress(), *metricsDir, sweep.Jobs)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				cli.Fatal(err)
 			}
 			totalEvents += events
 		} else {
-			results = spec.RunParallel(*scale, progress, *jobs)
+			results = spec.RunParallel(*scale, sweep.Progress(), sweep.Jobs)
 		}
 		harness.Print(w, spec, results)
 		fmt.Fprintf(os.Stderr, "%s done in %.1fs wall\n", id, time.Since(start).Seconds())
 	}
+	if err := w.Close(); err != nil {
+		cli.Fatal(err)
+	}
 	if *metricsDir != "" {
 		fmt.Fprintf(os.Stderr, "metrics JSON written to %s (%d events traced)\n", *metricsDir, totalEvents)
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad thread count %q (want positive integer)", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -27,12 +27,17 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"hrwle/internal/check"
+	"hrwle/internal/cli"
+	"hrwle/internal/machine"
 )
 
 func main() {
@@ -57,20 +62,31 @@ func main() {
 		os.Exit(runReplay(*replay))
 	}
 
-	// Validate names up front: buildLock panics on unknown schemes, and a
+	// Validate flags up front: buildLock panics on unknown schemes, and a
 	// typo'd -mutation would otherwise silently explore unmutated code.
-	if !*all && !contains(check.Schemes(), *scheme) {
-		fatalf("unknown scheme %q (want one of %s)", *scheme, strings.Join(check.Schemes(), ", "))
-	}
 	programs := append(check.Programs(), check.LitmusPrograms()...)
-	if !contains(programs, *program) {
-		fatalf("unknown program %q (want one of %s)", *program, strings.Join(programs, ", "))
+	var errs []error
+	if !*all && !slices.Contains(check.Schemes(), *scheme) {
+		errs = append(errs, fmt.Errorf("unknown scheme %q (want one of %s)", *scheme, strings.Join(check.Schemes(), ", ")))
+	}
+	if !slices.Contains(programs, *program) {
+		errs = append(errs, fmt.Errorf("unknown program %q (want one of %s)", *program, strings.Join(programs, ", ")))
 	}
 	switch *mutation {
 	case "", check.MutLoseDoomAtResume, check.MutSkipROTQuiesce, check.MutLazySubscription:
 	default:
-		fatalf("unknown mutation %q (want %s, %s or %s)",
-			*mutation, check.MutLoseDoomAtResume, check.MutSkipROTQuiesce, check.MutLazySubscription)
+		errs = append(errs, fmt.Errorf("unknown mutation %q (want %s, %s or %s)",
+			*mutation, check.MutLoseDoomAtResume, check.MutSkipROTQuiesce, check.MutLazySubscription))
+	}
+	errs = append(errs,
+		cli.Range("threads", *threads, 0, machine.MaxCPUs),
+		cli.Range("ops", *ops, 0, math.MaxInt),
+		cli.Range("budget", *budget, 0, math.MaxInt),
+		cli.Range("preemptions", *preemptions, 0, math.MaxInt),
+		cli.Range("walk-pct", *walkPct, 0, 100),
+	)
+	if err := errors.Join(errs...); err != nil {
+		cli.Exit(2, fmt.Errorf("hrwle-check: %w", err))
 	}
 
 	base := check.Config{
@@ -101,7 +117,7 @@ func main() {
 			for _, p := range sweep {
 				cfg := base
 				cfg.Scheme, cfg.Program = s, p
-				if lit := contains(check.LitmusPrograms(), p); lit {
+				if slices.Contains(check.LitmusPrograms(), p) {
 					// Litmus shapes are two fixed threads with one section
 					// each; the defaults for closed programs oversubscribe
 					// them.
@@ -116,20 +132,6 @@ func main() {
 	if violations > 0 {
 		os.Exit(1)
 	}
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hrwle-check: "+format+"\n", args...)
-	os.Exit(2)
 }
 
 // report prints one exploration summary and returns 1 if it found a

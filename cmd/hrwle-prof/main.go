@@ -25,15 +25,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/harness"
 	"hrwle/internal/service"
 )
@@ -45,15 +45,9 @@ func main() {
 		schemes  = flag.String("schemes", "", "comma-separated scheme list, or 'all' (default RW-LE_OPT,HLE,RWL,SGL)")
 		rate     = flag.Float64("rate", 0, "offered load, req/s (default: the workload's saturation knee)")
 		window   = flag.Float64("window", 0, "profiling window width in virtual cycles (default 250000)")
-		servers  = flag.Int("servers", 0, "serving CPUs (default 8)")
-		requests = flag.Int("requests", 0, "arrivals per point (default 4000)")
-		queueCap = flag.Int("queue-cap", 0, "dispatch queue bound (default 512)")
-		arrivals = flag.String("arrivals", "poisson", "arrival process (poisson|mmpp)")
-		seed     = flag.Uint64("seed", 0, "schedule and machine seed (default 1)")
-		out      = flag.String("o", "", "write the text report to file (default stdout)")
 		jsonOut  = flag.String("json", "", "write the ProfReport JSON to file")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "schemes to profile concurrently")
-		quiet    = flag.Bool("q", false, "suppress per-point progress")
+		svc      = cli.ServiceFlags(service.DefaultConfig(""), true)
+		sweep    = cli.SweepFlags()
 	)
 	flag.Parse()
 
@@ -68,92 +62,54 @@ func main() {
 		return
 	}
 
-	var progress io.Writer = os.Stderr
-	if *quiet {
-		progress = nil
-	}
-
 	workloads := []string{*workload}
 	if *workload == "all" {
 		workloads = harness.ServeWorkloads()
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	w, err := cli.Create(sweep.Out)
+	if err != nil {
+		cli.Fatal(err)
 	}
-
-	var jw io.Writer
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		jw = f
-	}
-
+	var reports []*harness.ProfReport
 	for _, wl := range workloads {
 		spec, err := harness.DefaultProfSpec(wl)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		switch *schemes {
 		case "":
 		case "all":
 			spec.Schemes = harness.AllSchemes()
 		default:
-			spec.Schemes = strings.Split(*schemes, ",")
+			spec.Schemes = cli.Split(*schemes)
 		}
-		if *rate > 0 {
-			spec.RatePerSec = *rate
-		}
-		if *window > 0 {
-			spec.WindowCycles = int64(*window)
-		}
-		if *servers > 0 {
-			spec.Base.Servers = *servers
-		}
-		if *requests > 0 {
-			spec.Base.Requests = *requests
-		}
-		if *queueCap > 0 {
-			spec.Base.QueueCap = *queueCap
-		}
-		if *seed != 0 {
-			spec.Base.Seed = *seed
-		}
-		spec.Base.Arrivals.Process, err = service.ParseProcess(*arrivals)
+		err = errors.Join(
+			cli.Set(&spec.RatePerSec, "rate", *rate),
+			cli.SetCycles(&spec.WindowCycles, "window", *window),
+			svc.Apply(&spec.Base),
+		)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 
 		start := time.Now()
-		rep, err := harness.RunProf(spec, *jobs, progress)
+		rep, err := harness.RunProf(spec, sweep.Jobs, sweep.Progress())
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		rep.WriteText(w)
 		fmt.Fprintln(w)
-		if jw != nil {
-			if err := rep.WriteJSON(jw); err != nil {
-				fatal(err)
-			}
-		}
+		reports = append(reports, rep)
 		fmt.Fprintf(os.Stderr, "prof %s done in %.1fs wall\n", wl, time.Since(start).Seconds())
 	}
-
+	if err := w.Close(); err != nil {
+		cli.Fatal(err)
+	}
 	if *jsonOut != "" {
+		if err := cli.WriteAll(*jsonOut, reports, (*harness.ProfReport).WriteJSON); err != nil {
+			cli.Fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "JSON written to %s\n", *jsonOut)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -19,15 +19,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/harness"
 	"hrwle/internal/machine"
 	"hrwle/internal/obs"
@@ -40,19 +40,13 @@ func main() {
 		list     = flag.Bool("list", false, "list workloads and their default sweeps")
 		schemes  = flag.String("schemes", "", "comma-separated scheme list (default RW-LE_OPT,HLE,RWL,SGL)")
 		rates    = flag.String("rates", "", "comma-separated offered loads, req/s (default: calibrated per workload)")
-		servers  = flag.Int("servers", 0, "serving CPUs (default 8)")
-		requests = flag.Int("requests", 0, "arrivals per point (default 4000)")
-		queueCap = flag.Int("queue-cap", 0, "dispatch queue bound (default 512)")
-		arrivals = flag.String("arrivals", "poisson", "arrival process (poisson|mmpp)")
-		seed     = flag.Uint64("seed", 0, "schedule and machine seed (default 1)")
-		out      = flag.String("o", "", "write the text report to file (default stdout)")
 		jsonOut  = flag.String("json", "", "write the ServeReport JSON to file")
 		chrome   = flag.String("chrome", "", "write a Chrome trace of the run (single scheme and rate only)")
 		timeline = flag.String("timeline", "", "write the virtual-time profile JSON of the run (single scheme and rate only)")
 		sanitize = flag.Bool("sanitize", false, "run one point under the simsan happens-before race detector (single scheme and rate only; exit 1 on any race)")
-		window   = flag.Int64("window", harness.DefaultProfWindow, "profiling window width in virtual cycles (with -timeline)")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "measurement points to run concurrently")
-		quiet    = flag.Bool("q", false, "suppress per-point progress")
+		window   = flag.Float64("window", harness.DefaultProfWindow, "profiling window width in virtual cycles (with -timeline)")
+		svc      = cli.ServiceFlags(service.DefaultConfig(""), true)
+		sweep    = cli.SweepFlags()
 	)
 	flag.Parse()
 
@@ -60,108 +54,72 @@ func main() {
 		fmt.Println("available workloads (default offered-load grids, req/s):")
 		for _, wl := range harness.ServeWorkloads() {
 			spec, _ := harness.DefaultServeSpec(wl)
-			fmt.Printf("  %-8s %s\n", wl, formatRates(spec.Rates))
+			fmt.Printf("  %-8s %s\n", wl, cli.Join(spec.Rates))
 		}
 		fmt.Printf("default schemes: %s\n", strings.Join(harness.ServeSchemes(), ","))
 		return
-	}
-
-	var progress io.Writer = os.Stderr
-	if *quiet {
-		progress = nil
 	}
 
 	workloads := []string{*workload}
 	if *workload == "all" {
 		workloads = harness.ServeWorkloads()
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	profWindow := int64(harness.DefaultProfWindow)
+	if err := cli.SetCycles(&profWindow, "window", *window); err != nil {
+		cli.Fatal(err)
 	}
+	onePoint := *sanitize || *chrome != "" || *timeline != ""
 
+	w, err := cli.Create(sweep.Out)
+	if err != nil {
+		cli.Fatal(err)
+	}
 	var reports []*harness.ServeReport
 	for _, wl := range workloads {
 		spec, err := harness.DefaultServeSpec(wl)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if *schemes != "" {
-			spec.Schemes = strings.Split(*schemes, ",")
+			spec.Schemes = cli.Split(*schemes)
 		}
-		if err := harness.CheckSchemes(spec.Schemes); err != nil {
-			fatal(err)
-		}
-		if *rates != "" {
-			spec.Rates, err = parseRates(*rates)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if *servers > 0 {
-			spec.Base.Servers = *servers
-		}
-		if *requests > 0 {
-			spec.Base.Requests = *requests
-		}
-		if *queueCap > 0 {
-			spec.Base.QueueCap = *queueCap
-		}
-		if *seed != 0 {
-			spec.Base.Seed = *seed
-		}
-		spec.Base.Arrivals.Process, err = service.ParseProcess(*arrivals)
+		err = errors.Join(harness.CheckSchemes(spec.Schemes), cli.Rates(&spec.Rates, *rates), svc.Apply(&spec.Base))
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 
-		if *sanitize {
+		if onePoint {
 			if len(workloads) != 1 || len(spec.Schemes) != 1 || len(spec.Rates) != 1 {
-				fatal(fmt.Errorf("-sanitize needs exactly one workload, one -schemes entry and one -rates entry"))
+				cli.Fatal(errors.New("-sanitize, -chrome and -timeline need exactly one workload, one -schemes entry and one -rates entry"))
 			}
-			if err := sanitizePoint(spec, *jsonOut, w); err != nil {
-				fatal(err)
+			if *sanitize {
+				err = sanitizePoint(spec, *jsonOut, w)
+			} else {
+				err = tracePoint(spec, *chrome, *timeline, profWindow, w)
 			}
-			return
-		}
-
-		if *chrome != "" || *timeline != "" {
-			if len(workloads) != 1 || len(spec.Schemes) != 1 || len(spec.Rates) != 1 {
-				fatal(fmt.Errorf("-chrome/-timeline need exactly one workload, one -schemes entry and one -rates entry"))
+			if err != nil {
+				cli.Fatal(err)
 			}
-			if err := tracePoint(spec, *chrome, *timeline, *window, w); err != nil {
-				fatal(err)
-			}
-			return
+			break
 		}
 
 		start := time.Now()
-		rep, err := harness.RunServe(spec, *jobs, progress)
+		rep, err := harness.RunServe(spec, sweep.Jobs, sweep.Progress())
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		rep.WriteText(w)
 		fmt.Fprintln(w)
 		reports = append(reports, rep)
 		fmt.Fprintf(os.Stderr, "serve %s done in %.1fs wall\n", wl, time.Since(start).Seconds())
 	}
+	if err := w.Close(); err != nil {
+		cli.Fatal(err)
+	}
 
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		for _, rep := range reports {
-			if err := rep.WriteJSON(f); err != nil {
-				fatal(err)
-			}
+	if *jsonOut != "" && !onePoint {
+		if err := cli.WriteAll(*jsonOut, reports, (*harness.ServeReport).WriteJSON); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "JSON written to %s\n", *jsonOut)
 	}
@@ -184,12 +142,7 @@ func sanitizePoint(spec harness.ServeSpec, jsonPath string, w io.Writer) error {
 	fmt.Fprintln(w)
 	rep.WriteText(w)
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
+		if err := cli.WriteFile(jsonPath, rep.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "race report JSON written to %s\n", jsonPath)
@@ -227,52 +180,20 @@ func tracePoint(spec harness.ServeSpec, chromePath, timelinePath string, window 
 		rep := prof.Report(scheme, cfg.Workload)
 		rep.Service = m
 		rep.WriteText(w)
-		f, err := os.Create(timelinePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
+		if err := cli.WriteFile(timelinePath, rep.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "timeline profile (%d windows) written to %s\n",
 			len(rep.Timeline.Windows), timelinePath)
 	}
 	if log != nil {
-		f, err := os.Create(chromePath)
+		err := cli.WriteFile(chromePath, func(f io.Writer) error {
+			return obs.WriteChromeTraceCounters(f, log.Events, service.CounterTracks(reqs))
+		})
 		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := obs.WriteChromeTraceCounters(f, log.Events, service.CounterTracks(reqs)); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "Chrome trace (%d events) written to %s\n", len(log.Events), chromePath)
 	}
 	return nil
-}
-
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate %q (want positive req/s)", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func formatRates(rates []float64) string {
-	parts := make([]string, len(rates))
-	for i, r := range rates {
-		parts[i] = strconv.FormatFloat(r, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -40,13 +40,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"runtime"
 	"strings"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/harness"
 	"hrwle/internal/hashmap"
 	"hrwle/internal/htm"
@@ -68,45 +70,40 @@ type traceOpts struct {
 
 func main() {
 	var (
-		scheme   = flag.String("scheme", "RW-LE_OPT", "synchronization scheme, or a comma-separated list (see hrwle-bench -list output)")
-		threads  = flag.Int("threads", 4, "simulated hardware threads")
-		ops      = flag.Int("ops", 30, "operations per thread")
-		writes   = flag.Int("w", 20, "write percentage")
-		events   = flag.Int("n", 120, "max events to print")
-		seed     = flag.Uint64("seed", 7, "machine seed (identical seeds give identical runs)")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "schemes to trace concurrently")
-		matrix   = flag.Bool("matrix", false, "print the killer→victim abort-attribution matrix")
-		hist     = flag.Bool("hist", false, "print per-CS latency and quiescence histograms")
-		jsonOut  = flag.String("json", "", "write point metrics JSON to this file ('-' for stdout)")
-		chrome   = flag.String("chrome", "", "write a Chrome trace_event file (Perfetto / chrome://tracing)")
-		timeline = flag.String("timeline", "", "write the virtual-time profile JSON to this file ('-' for stdout)")
-		window   = flag.Int64("window", harness.DefaultProfWindow, "profiling window width in virtual cycles (with -timeline)")
-		noEvents = flag.Bool("q", false, "suppress the raw event dump")
-		sanitize = flag.Bool("sanitize", false, "attach the simsan happens-before race detector (exit 1 on any race)")
+		o      = traceOpts{window: harness.DefaultProfWindow}
+		scheme = flag.String("scheme", "RW-LE_OPT", "synchronization scheme, or a comma-separated list (see hrwle-bench -list output)")
+		window = flag.Float64("window", harness.DefaultProfWindow, "profiling window width in virtual cycles (with -timeline)")
+		jobs   int
 	)
+	flag.IntVar(&o.threads, "threads", 4, "simulated hardware threads")
+	flag.IntVar(&o.ops, "ops", 30, "operations per thread")
+	flag.IntVar(&o.writes, "w", 20, "write percentage")
+	flag.IntVar(&o.events, "n", 120, "max events to print")
+	flag.Uint64Var(&o.seed, "seed", 7, "machine seed (identical seeds give identical runs)")
+	cli.JobsVar(&jobs, "schemes to trace concurrently")
+	flag.BoolVar(&o.matrix, "matrix", false, "print the killer→victim abort-attribution matrix")
+	flag.BoolVar(&o.hist, "hist", false, "print per-CS latency and quiescence histograms")
+	flag.StringVar(&o.jsonOut, "json", "", "write point metrics JSON to this file ('-' for stdout)")
+	flag.StringVar(&o.chrome, "chrome", "", "write a Chrome trace_event file (Perfetto / chrome://tracing; '-' for stdout)")
+	flag.StringVar(&o.timeline, "timeline", "", "write the virtual-time profile JSON to this file ('-' for stdout)")
+	flag.BoolVar(&o.noEvents, "q", false, "suppress the raw event dump")
+	flag.BoolVar(&o.sanitize, "sanitize", false, "attach the simsan happens-before race detector (exit 1 on any race)")
 	flag.Parse()
 
-	var schemes []string
-	for _, s := range strings.Split(*scheme, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			schemes = append(schemes, s)
-		}
+	schemes := cli.Split(*scheme)
+	err := errors.Join(
+		harness.CheckSchemes(schemes),
+		cli.Range("threads", o.threads, 1, machine.MaxCPUs),
+		cli.Range("ops", o.ops, 0, math.MaxInt),
+		cli.Range("w", o.writes, 0, 100),
+		cli.Range("n", o.events, 1, math.MaxInt),
+		cli.SetCycles(&o.window, "window", *window),
+	)
+	if err != nil {
+		cli.Fatal(err)
 	}
-	if len(schemes) == 0 {
-		fatal(fmt.Errorf("no scheme given"))
-	}
-	if err := harness.CheckSchemes(schemes); err != nil {
-		fatal(err)
-	}
-	if len(schemes) > 1 && (*jsonOut != "" || *chrome != "" || *timeline != "") {
-		fatal(fmt.Errorf("-json, -chrome and -timeline require a single -scheme, got %d", len(schemes)))
-	}
-
-	opts := traceOpts{
-		threads: *threads, ops: *ops, writes: *writes, events: *events,
-		seed: *seed, matrix: *matrix, hist: *hist, noEvents: *noEvents,
-		sanitize: *sanitize,
-		jsonOut: *jsonOut, chrome: *chrome, timeline: *timeline, window: *window,
+	if len(schemes) > 1 && (o.jsonOut != "" || o.chrome != "" || o.timeline != "") {
+		cli.Fatal(fmt.Errorf("-json, -chrome and -timeline require a single -scheme, got %d", len(schemes)))
 	}
 
 	// Each scheme traces an independent machine; buffer the reports and
@@ -115,8 +112,8 @@ func main() {
 	// report before that one is complete.
 	bufs := make([]bytes.Buffer, len(schemes))
 	errs := make([]error, len(schemes))
-	harness.RunIndexed(len(schemes), *jobs, func(i int) error {
-		errs[i] = traceScheme(&bufs[i], schemes[i], opts)
+	harness.RunIndexed(len(schemes), jobs, func(i int) error {
+		errs[i] = traceScheme(&bufs[i], schemes[i], o)
 		return errs[i]
 	}, nil)
 
@@ -126,7 +123,7 @@ func main() {
 		}
 		os.Stdout.Write(bufs[i].Bytes())
 		if errs[i] != nil {
-			fatal(errs[i])
+			cli.Fatal(errs[i])
 		}
 	}
 }
@@ -225,12 +222,12 @@ func traceScheme(w io.Writer, scheme string, o traceOpts) error {
 	}
 	if o.jsonOut != "" {
 		rm := &obs.RunMetrics{Figure: "trace", Scheme: lock.Name(), Points: []*obs.PointMetrics{point}}
-		if err := writeTo(o.jsonOut, rm.WriteJSON); err != nil {
+		if err := cli.WriteFile(o.jsonOut, rm.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if o.chrome != "" {
-		err := writeTo(o.chrome, func(w io.Writer) error { return obs.WriteChromeTrace(w, log.Events) })
+		err := cli.WriteFile(o.chrome, func(w io.Writer) error { return obs.WriteChromeTrace(w, log.Events) })
 		if err != nil {
 			return err
 		}
@@ -241,34 +238,13 @@ func traceScheme(w io.Writer, scheme string, o traceOpts) error {
 		prof.Finish(m.Now())
 		rep := prof.Report(lock.Name(), "hashmap")
 		rep.WriteText(w)
-		if err := writeTo(o.timeline, rep.WriteJSON); err != nil {
+		if err := cli.WriteFile(o.timeline, rep.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "timeline profile: %d windows → %s\n",
 			len(rep.Timeline.Windows), o.timeline)
 	}
 	return nil
-}
-
-// writeTo writes via fn to path, with "-" meaning stdout.
-func writeTo(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }
 
 func detail(e machine.Event) string {

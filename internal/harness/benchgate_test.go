@@ -10,16 +10,18 @@ import (
 // bench mini-sweep must simulate exactly the cycle count recorded in the
 // committed baseline report. Engine rewrites may only change wall-clock
 // speed; any sim_cycles drift is a semantics regression. If a PR changes
-// simulation semantics intentionally, it must record a new baseline (run
-// `hrwle-bench -bench results/BENCH_PRn.json`) and update the reference
-// here alongside the golden results.
+// simulation semantics intentionally, it must record a new baseline and
+// update the reference here alongside the golden results. simbench's
+// fig5-mini workload runs the same sweep and checks the same count.
 func TestBenchCyclesMatchBaseline(t *testing.T) {
 	const baseline = "../../results/BENCH_PR7.json"
 	data, err := os.ReadFile(baseline)
 	if err != nil {
 		t.Fatalf("missing committed bench baseline: %v", err)
 	}
-	var base BenchReport
+	var base struct {
+		SimCycles int64 `json:"sim_cycles"`
+	}
 	if err := json.Unmarshal(data, &base); err != nil {
 		t.Fatalf("corrupt bench baseline: %v", err)
 	}

@@ -29,3 +29,21 @@ func Registry() map[string]*FigureSpec {
 	}
 	return figs
 }
+
+// BenchScale is the work multiplier of the fixed fig5 mini-sweep.
+const BenchScale = 0.25
+
+// BenchSpec returns the fixed mini-sweep simbench's fig5-mini workload
+// runs: a slice of the Figure 5 configuration (low capacity, high
+// contention — the simulator's hottest conflict-detection and quiescence
+// paths) small enough for CI but large enough to exercise every scheme
+// family. The sweep definition must stay stable across PRs so the
+// recorded numbers in results/BENCH_*.json and the simbench trajectory
+// remain comparable.
+func BenchSpec() *FigureSpec {
+	spec := *Registry()["fig5"]
+	spec.Schemes = []string{"RW-LE_OPT", "RW-LE_PES", "HLE", "SGL"}
+	spec.Threads = []int{2, 4, 8}
+	spec.WritePcts = []int{10, 90}
+	return &spec
+}

@@ -172,6 +172,9 @@ func (c *Config) applyDefaults() error {
 	if c.Servers <= 0 {
 		c.Servers = 8
 	}
+	if c.Servers > machine.MaxCPUs {
+		return fmt.Errorf("service: %d servers exceeds the machine's %d CPUs", c.Servers, machine.MaxCPUs)
+	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 512
 	}

@@ -3,6 +3,8 @@ package service
 import (
 	"reflect"
 	"testing"
+
+	"hrwle/internal/machine"
 )
 
 // testConfig returns a small, fast point configuration.
@@ -202,6 +204,7 @@ func TestBadConfigs(t *testing.T) {
 		func(c *Config) { c.WarmupFrac = 1.5 },
 		func(c *Config) { c.Classes[1].Work = Pareto(100, 0.5) }, // alpha <= 1
 		func(c *Config) { c.Arrivals.BurstFrac = 2 },
+		func(c *Config) { c.Servers = machine.MaxCPUs + 1 }, // machine.New would panic
 	}
 	for i, mutate := range bad {
 		cfg := testConfig("hashmap")

@@ -10,6 +10,7 @@ import (
 	"hrwle/internal/core"
 	"hrwle/internal/htm"
 	"hrwle/internal/locks"
+	"hrwle/internal/machine"
 	"hrwle/internal/rwlock"
 	"hrwle/internal/service"
 	"hrwle/internal/shard"
@@ -246,5 +247,16 @@ func TestBadSkewIsAnError(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTooManyServersIsAnError pins that a server count above the
+// machine's CPU limit is a config error from shard.Run, not a panic in
+// machine.New.
+func TestTooManyServersIsAnError(t *testing.T) {
+	cfg := testConfig()
+	cfg.Servers = machine.MaxCPUs + 1
+	if _, err := shard.Run(cfg, sglOnly(), nil); err == nil || !strings.Contains(err.Error(), "servers") {
+		t.Fatalf("shard.Run with %d servers: err = %v, want a servers error", cfg.Servers, err)
 	}
 }

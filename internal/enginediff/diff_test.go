@@ -14,8 +14,9 @@ const goldenPath = "testdata/engine_golden.json"
 
 // TestEngineEquivalence asserts that the current engine reproduces, bit for
 // bit, the capture recorded on the previous engine: every figure point's
-// cycles and event stream, every Print table, every checker exploration and
-// both seeded-mutation replay tokens. A failure here means the engine
+// cycles and event stream, every Print table, every checker exploration,
+// litmus outcome set and sanitized exploration, and both seeded-mutation
+// replay tokens. A failure here means the engine
 // changed *simulation semantics*, not just its execution machinery.
 func TestEngineEquivalence(t *testing.T) {
 	got := CaptureAll()
@@ -93,6 +94,24 @@ func TestEngineEquivalence(t *testing.T) {
 	for i, ww := range want.Wide {
 		if gw := got.Wide[i]; gw != ww {
 			t.Errorf("wide-machine program on %d CPUs diverged:\n  got  %+v\n  want %+v", ww.CPUs, gw, ww)
+		}
+	}
+
+	if len(got.Litmus) != len(want.Litmus) {
+		t.Fatalf("litmus capture count drifted: got %d, want %d", len(got.Litmus), len(want.Litmus))
+	}
+	for i, wl := range want.Litmus {
+		if gl := got.Litmus[i]; gl != wl {
+			t.Errorf("litmus %s/%s diverged:\n  got  %+v\n  want %+v", wl.Scheme, wl.Program, gl, wl)
+		}
+	}
+
+	if len(got.Sanitized) != len(want.Sanitized) {
+		t.Fatalf("sanitized exploration count drifted: got %d, want %d", len(got.Sanitized), len(want.Sanitized))
+	}
+	for i, ws := range want.Sanitized {
+		if gs := got.Sanitized[i]; gs != ws {
+			t.Errorf("sanitized exploration %s/%s diverged:\n  got  %+v\n  want %+v", ws.Scheme, ws.Program, gs, ws)
 		}
 	}
 }

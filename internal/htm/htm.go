@@ -170,7 +170,9 @@ type System struct {
 	traceAccesses bool
 }
 
-// NewSystem wraps a machine with HTM support.
+// NewSystem wraps a machine with HTM support. It allocates the directory
+// and one Thread per CPU, then puts each thread in the state Reset leaves
+// it in.
 func NewSystem(m *machine.Machine, cfg Config) *System {
 	cfg.applyDefaults()
 	s := &System{M: m, Cfg: cfg}
@@ -178,9 +180,31 @@ func NewSystem(m *machine.Machine, cfg Config) *System {
 	s.wideReaders = m.NewWideBits()
 	s.threads = make([]*Thread, m.Cfg.CPUs)
 	for i := range s.threads {
-		s.threads[i] = newThread(s, m.CPU(i))
+		s.threads[i] = &Thread{C: m.CPU(i), sys: s}
+		s.threads[i].reset()
 	}
 	return s
+}
+
+// Reset returns s and its machine to the state NewSystem(machine.New(
+// s.M.Cfg), s.Cfg) returns, reusing their storage. It clears the
+// directory entries and wide readers of the lines the machine's allocator
+// handed out (machine.UsedLines; no other line can have been accessed)
+// and the access-trace flag, resets the machine (machine.Reset, with its
+// contract), and returns every thread to its initial state, keeping the
+// capacity of its line lists and store buffer. Like machine.Reset, it
+// must not be called during Run.
+func (s *System) Reset() {
+	used := s.M.UsedLines()
+	clear(s.dir[:used])
+	if s.wideReaders != nil {
+		clear(s.wideReaders[:used])
+	}
+	s.traceAccesses = false
+	s.M.Reset()
+	for _, t := range s.threads {
+		t.reset()
+	}
 }
 
 // Thread returns the HTM thread bound to CPU id.
@@ -242,13 +266,20 @@ type Thread struct {
 	tas tatasWait
 }
 
-func newThread(s *System, c *machine.CPU) *Thread {
-	t := &Thread{C: c, sys: s, doom: -1, doomKiller: -1}
+// reset returns t to its initial state: no transaction, no pending doom,
+// zero counters, and its CPU's interrupt and page-fault hooks bound to t.
+// The read and write line lists and the store buffer keep their capacity;
+// an emptied store buffer behaves exactly like a new one.
+func (t *Thread) reset() {
+	*t = Thread{
+		C: t.C, sys: t.sys, doom: -1, doomKiller: -1,
+		readLines: t.readLines[:0], writeLines: t.writeLines[:0], ws: t.ws,
+	}
+	t.ws.reset()
 	// Interrupts and page faults discard speculative state on real
 	// hardware; model both as a non-transactional doom.
-	c.OnInterrupt = t.doomFromEnvironment
-	c.OnPageFault = t.doomFromEnvironment
-	return t
+	t.C.OnInterrupt = t.doomFromEnvironment
+	t.C.OnPageFault = t.doomFromEnvironment
 }
 
 // doomFromEnvironment dooms the in-flight transaction because of a

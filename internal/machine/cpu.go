@@ -67,9 +67,11 @@ type CPU struct {
 	Counters Counters
 }
 
-// newCPU builds one CPU.
-func newCPU(m *Machine, id int) *CPU {
-	return &CPU{m: m, ID: id, heapIdx: -1, idKey: int64(id)}
+// reset returns c to its initial state, keeping its TLB storage (Run
+// re-initializes the entries). Hooks installed by the layers above are
+// cleared.
+func (c *CPU) reset() {
+	*c = CPU{m: c.m, ID: c.ID, heapIdx: -1, idKey: int64(c.ID), tlb: c.tlb}
 }
 
 // Scheduling keys pack a CPU's (virtual time, ID) pair into one int64 —

@@ -225,7 +225,11 @@ type Machine struct {
 	runOnce sync.Mutex
 }
 
-// New creates a machine with the given configuration.
+// New creates a machine with the given configuration. It allocates the
+// machine's storage and then runs Reset, so the initial state has one
+// definition: a new machine is a reset one. Fresh storage is already zero,
+// and Reset clears only what the allocator has handed out, so New never
+// zeroes memory twice.
 func New(cfg Config) *Machine {
 	cfg.applyDefaults()
 	m := &Machine{Cfg: cfg}
@@ -240,9 +244,57 @@ func New(cfg Config) *Machine {
 	m.alloc.init(cfg.MemWords, cfg.LineWords)
 	m.cpus = make([]*CPU, cfg.CPUs)
 	for i := range m.cpus {
-		m.cpus[i] = newCPU(m, i)
+		m.cpus[i] = &CPU{m: m, ID: i}
 	}
+	m.Reset()
 	return m
+}
+
+// Reset returns m to the state New(m.Cfg) returns, reusing its storage:
+// memory, coherence state, allocator, pager, CPUs, virtual time, tracer
+// and scheduler. It zeroes only the words below the allocator's high-water
+// mark (HeapUsed) and the coherence state of the lines covering them
+// (UsedLines); nothing above the mark was ever handed out. A program that
+// reads or writes addresses the allocator never returned is outside that
+// contract and must build a new machine instead. Each CPU keeps its TLB
+// storage, which Run re-initializes.
+//
+// Reset must not be called while Run is in progress; it panics if it is.
+// A machine wrapped by an htm.System is reset through System.Reset, which
+// also rebinds the CPUs' HTM hooks.
+//
+//simlint:allow determinism the runOnce TryLock only rejects a Reset racing a Run on the host side; it orders no simulated event
+func (m *Machine) Reset() {
+	if !m.runOnce.TryLock() {
+		panic("machine: Reset during Run")
+	}
+	defer m.runOnce.Unlock()
+
+	used := m.UsedLines()
+	clear(m.words[:m.alloc.next])
+	clear(m.lines[:used])
+	if m.wideSharers != nil {
+		clear(m.wideSharers[:used])
+	}
+	m.alloc.reset()
+	m.pager.reset()
+	for _, c := range m.cpus {
+		c.reset()
+	}
+	m.heap.cpus = m.heap.cpus[:0]
+	m.baseTime = 0
+	m.tracer = nil
+	m.sched = nil
+	m.next = nil
+	m.runErr = nil
+}
+
+// UsedLines returns the number of cache lines, from line 0, that cover the
+// words the allocator has handed out (HeapUsed). Layers that keep per-line
+// state beside the machine's (the HTM conflict directory) clear this many
+// entries when they reset.
+func (m *Machine) UsedLines() int {
+	return int((int64(m.alloc.next) + m.Cfg.LineWords - 1) >> m.lineShift)
 }
 
 // NumLines returns the number of cache lines covering simulated memory.
@@ -309,7 +361,7 @@ func (m *Machine) Run(threads int, body func(*CPU)) int64 {
 
 	base := m.Now()
 	m.baseTime = base
-	m.heap = cpuHeap{}
+	m.heap.cpus = m.heap.cpus[:0]
 	m.runErr = nil
 
 	active := m.cpus[:threads]

@@ -30,6 +30,17 @@ func (p *pager) init(cfg Config) {
 	p.pages = make([]pageState, n)
 }
 
+// reset evicts every page. A page is referenced only while resident, so
+// with no page resident every entry is already zero, as it is in a new
+// machine.
+func (p *pager) reset() {
+	if p.residentCount > 0 {
+		clear(p.pages)
+	}
+	p.residentCount = 0
+	p.hand = 0
+}
+
 // makeResident brings page in and, if the residency limit is exceeded,
 // evicts a victim chosen by the CLOCK algorithm (with TLB shootdown).
 func (p *pager) makeResident(m *Machine, page int64) {
@@ -88,15 +99,10 @@ func shootdown(m *Machine, page int64) {
 // ResetPaging evicts every resident page and clears all TLBs, modelling a
 // cold start. It may only be called outside Run.
 func (m *Machine) ResetPaging() {
-	p := &m.pager
-	if !p.enabled {
+	if !m.pager.enabled {
 		return
 	}
-	for i := range p.pages {
-		p.pages[i] = pageState{}
-	}
-	p.residentCount = 0
-	p.hand = 0
+	m.pager.reset()
 	for _, c := range m.cpus {
 		for i := range c.tlb {
 			c.tlb[i] = -1

@@ -123,11 +123,21 @@ func (s *Sanitizer) Event(e machine.Event) {
 func (s *Sanitizer) Events() int { return len(s.events) }
 
 // Finish runs the two-pass analysis and returns the race report. The
-// report is computed once and cached; the buffered stream is released.
+// report is computed once and cached; the buffered stream is emptied, but
+// its storage is kept for the next execution (see Reset).
 func (s *Sanitizer) Finish() *Report {
 	if s.rep == nil {
 		s.rep = analyze(s.opt, s.events)
-		s.events = nil
+		s.events = s.events[:0]
 	}
 	return s.rep
+}
+
+// Reset prepares s for another execution with the same options: it drops
+// the buffered stream and the cached report, keeping the buffer's
+// capacity so a sanitizer reused across many small executions stops
+// growing it after the first.
+func (s *Sanitizer) Reset() {
+	s.events = s.events[:0]
+	s.rep = nil
 }

@@ -1,6 +1,7 @@
 package simsan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -494,4 +495,29 @@ func TestOrdinaryLateAcquireDoesNotSettleVerdict(t *testing.T) {
 	s.read(0, clkA)  // late subscription load: acquires, but outside quiescence
 	s.commit(0)
 	wantRaces(t, s.analyze(2), 1, "read-after-write")
+}
+
+// TestResetReusesSanitizer checks that a sanitizer reset between
+// executions reports each one exactly as a new sanitizer would: a racy
+// stream, then a clean one, then the racy one again.
+func TestResetReusesSanitizer(t *testing.T) {
+	var racy, clean stream
+	racy.write(0, dataA)
+	racy.read(1, dataA)
+	clean.cas(0, lockA)
+	clean.write(0, dataA)
+	clean.write(0, lockA)
+	clean.cas(1, lockA)
+	clean.read(1, dataA)
+
+	san := New(Options{CPUs: 2})
+	for i, s := range []*stream{&racy, &clean, &racy} {
+		san.Reset()
+		for _, e := range s.evs {
+			san.Event(e)
+		}
+		if got, want := *san.Finish(), *s.analyze(2); !reflect.DeepEqual(got, want) {
+			t.Errorf("execution %d after Reset: %+v, want %+v", i, got, want)
+		}
+	}
 }

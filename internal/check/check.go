@@ -27,7 +27,6 @@ import (
 	"hrwle/internal/core"
 	"hrwle/internal/htm"
 	"hrwle/internal/locks"
-	"hrwle/internal/machine"
 	"hrwle/internal/rwlock"
 )
 
@@ -154,16 +153,6 @@ func (r Report) String() string {
 		s += "\n  VIOLATION: " + r.Violation.Desc + "\n  replay: " + r.Violation.Token
 	}
 	return s
-}
-
-// buildSystem constructs a fresh machine, HTM system and lock instance for
-// one execution of cfg. Memory is small and paging is off: the checker
-// cares about interleavings, not timing.
-func buildSystem(cfg Config) (*machine.Machine, *htm.System, rwlock.Lock) {
-	m := machine.New(machine.Config{CPUs: cfg.Threads, MemWords: 1 << 12, Seed: 1})
-	hcfg := htm.Config{UnsafeLoseDoomAtResume: cfg.Mutation == MutLoseDoomAtResume}
-	sys := htm.NewSystem(m, hcfg)
-	return m, sys, buildLock(sys, cfg)
 }
 
 // buildLock resolves cfg.Scheme, applying the mutation knobs that live in

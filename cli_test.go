@@ -206,6 +206,10 @@ func TestCLIBadInputIsAnError(t *testing.T) {
 		{"hrwle-prof", prof, []string{"-servers", "300"}, "300 servers", 1},
 		{"hrwle-prof", prof, []string{"-rate", "-3"}, "-rate -3", 1},
 		{"hrwle-prof", prof, []string{"-window", "-5"}, "-window -5", 1},
+		// The example in hrwle-prof's usage text: RW-LE_basic's capacity
+		// livelock on tpcc is an error naming the workload and scheme.
+		{"hrwle-prof", []string{"-q"}, []string{"-workload", "tpcc", "-schemes", "all"}, "tpcc/RW-LE_basic", 1},
+		{"hrwle-serve", []string{"-q"}, []string{"-workload", "tpcc", "-schemes", "RW-LE_basic"}, "tpcc/RW-LE_basic", 1},
 		{"hrwle-shard", shard, []string{"-servers", "300"}, "300 servers", 1},
 		{"hrwle-trace", []string{"-q"}, []string{"-threads", "300"}, "-threads 300", 1},
 		{"hrwle-trace", []string{"-q"}, []string{"-threads", "0"}, "-threads 0", 1},

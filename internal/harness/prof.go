@@ -89,14 +89,16 @@ func RunProf(spec ProfSpec, workers int, progress io.Writer) (*ProfReport, error
 		Points:       make([]*obs.ProfileReport, len(spec.Schemes)),
 	}
 
-	run := func(i int) error {
+	run := func(i int) (err error) {
 		scheme := spec.Schemes[i]
+		point := fmt.Sprintf("profile point %s/%s@%.0f/s", base.Workload, scheme, spec.RatePerSec)
+		defer catchLivelock(&err, point)
 		cfg := base
 		cfg.Arrivals.RatePerSec = spec.RatePerSec
 		prof := obs.NewProfile(spec.WindowCycles, len(cfg.Classes))
 		m, _, err := service.RunPointProfiled(cfg, scheme, SchemeFactory(scheme), nil, prof)
 		if err != nil {
-			return fmt.Errorf("profile point %s@%.0f/s: %w", scheme, spec.RatePerSec, err)
+			return fmt.Errorf("%s: %w", point, err)
 		}
 		rep := prof.Report(scheme, cfg.Workload)
 		rep.Service = m

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"hrwle/internal/core"
 	"hrwle/internal/obs"
 	"hrwle/internal/service"
 )
@@ -114,6 +116,23 @@ func TestBasicWatchdogFailsFast(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("watchdog diagnostic %q missing %q", msg, want)
 		}
+	}
+}
+
+// TestRunProfLivelockIsAnError checks that the watchdog's panic reaches
+// RunProf's caller as the point's error, naming the workload and scheme
+// and unwrapping to core.LivelockError.
+func TestRunProfLivelockIsAnError(t *testing.T) {
+	spec, err := DefaultProfSpec("kyoto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Base.Servers, spec.Base.Requests = 4, 150
+	spec.Schemes = []string{"RW-LE_basic"}
+	_, err = RunProf(spec, 1, nil)
+	var le *core.LivelockError
+	if !errors.As(err, &le) || !strings.Contains(err.Error(), "kyoto/RW-LE_basic") {
+		t.Fatalf("RunProf error = %v, want the kyoto/RW-LE_basic livelock", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"hrwle/internal/core"
 	"hrwle/internal/obs"
 	"hrwle/internal/service"
 )
@@ -73,6 +74,22 @@ func (r *ServeReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
+// catchLivelock, deferred by a sweep point, turns RW-LE_basic's capacity
+// livelock — a core.LivelockError panic raised inside the simulation —
+// into the point's error, prefixed with point. Any other panic, the HTM
+// abort signal included, is re-raised verbatim.
+func catchLivelock(err *error, point string) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	le, ok := r.(*core.LivelockError)
+	if !ok {
+		panic(r)
+	}
+	*err = fmt.Errorf("%s: %w", point, le)
+}
+
 // RunServe sweeps scheme × offered-load with RunIndexed on up to workers
 // goroutines (workers <= 1 means serial). Each point builds its own
 // machine from the same seed, so the report is bit-identical at any worker
@@ -95,15 +112,17 @@ func RunServe(spec ServeSpec, workers int, progress io.Writer) (*ServeReport, er
 		Points:      make([]*obs.ServiceMetrics, spec.NumPoints()),
 	}
 
-	run := func(i int) error {
+	run := func(i int) (err error) {
 		// Point i is (scheme, rate) in the scheme-major order of
 		// ServeReport.point.
 		scheme, rate := spec.Schemes[i/len(spec.Rates)], spec.Rates[i%len(spec.Rates)]
+		point := fmt.Sprintf("serve point %s/%s@%.0f/s", base.Workload, scheme, rate)
+		defer catchLivelock(&err, point)
 		cfg := base
 		cfg.Arrivals.RatePerSec = rate
 		m, _, err := service.RunPoint(cfg, scheme, SchemeFactory(scheme), nil)
 		if err != nil {
-			return fmt.Errorf("serve point %s@%.0f/s: %w", scheme, rate, err)
+			return fmt.Errorf("%s: %w", point, err)
 		}
 		report.Points[i] = m
 		return nil

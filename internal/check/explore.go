@@ -1,8 +1,6 @@
 package check
 
 import (
-	"sync"
-
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 	"hrwle/internal/simsan"
@@ -27,46 +25,22 @@ type explorer struct {
 	san  *simsan.Sanitizer // nil unless cfg.Sanitize
 }
 
-// systemKey is what an exploration's system is built from. Memory is
+// systemConfig is what an exploration's system is built from. Memory is
 // small and paging is off: the checker cares about interleavings, not
 // timing.
-type systemKey struct {
-	cpus int
-	htm  htm.Config
+func systemConfig(cfg Config) (machine.Config, htm.Config) {
+	return machine.Config{CPUs: cfg.Threads, MemWords: 1 << 12, Seed: 1},
+		htm.Config{UnsafeLoseDoomAtResume: cfg.Mutation == MutLoseDoomAtResume}
 }
 
-func keyOf(cfg Config) systemKey {
-	return systemKey{cfg.Threads, htm.Config{UnsafeLoseDoomAtResume: cfg.Mutation == MutLoseDoomAtResume}}
-}
-
-func (k systemKey) build() *htm.System {
-	return htm.NewSystem(machine.New(machine.Config{CPUs: k.cpus, MemWords: 1 << 12, Seed: 1}), k.htm)
-}
-
-// idle keeps the system of each finished exploration, by key, for the
-// next exploration with that key to reset instead of building its own.
-// The first execution of an exploration then starts as cheaply as the
-// rest: an hrwle-check sweep runs one short exploration per scheme and
-// program, and allocating a machine for each start cost more host time
-// before the first simulated event than building one per execution did.
-// Explorations running at once each hold their own system.
-var idle = struct {
-	sync.Mutex
-	systems map[systemKey]*htm.System
-}{systems: map[systemKey]*htm.System{}}
-
-// newExplorer returns an explorer for cfg on the idle system of cfg's key,
-// or on a new one when none is idle. release hands the system back.
+// newExplorer returns an explorer for cfg on a system from htm.Take, so
+// the first execution of an exploration starts as cheaply as the rest: an
+// hrwle-check sweep runs one short exploration per scheme and program, and
+// building a system for each start cost more host time before the first
+// simulated event than building one per execution did. The exploration
+// hands the system back with Release when it finishes.
 func newExplorer(cfg Config) *explorer {
-	k := keyOf(cfg)
-	idle.Lock()
-	sys := idle.systems[k]
-	delete(idle.systems, k)
-	idle.Unlock()
-	if sys == nil {
-		sys = k.build()
-	}
-	return explorerOn(cfg, sys)
+	return explorerOn(cfg, htm.Take(systemConfig(cfg)))
 }
 
 func explorerOn(cfg Config, sys *htm.System) *explorer {
@@ -75,15 +49,6 @@ func explorerOn(cfg Config, sys *htm.System) *explorer {
 		x.san = simsan.New(simsan.Options{CPUs: cfg.Threads})
 	}
 	return x
-}
-
-// release resets x's system, so an idle system holds no tracer or
-// scheduler of a finished run, and makes it the idle one of its key.
-func (x *explorer) release() {
-	x.sys.Reset()
-	idle.Lock()
-	idle.systems[keyOf(x.cfg)] = x.sys
-	idle.Unlock()
 }
 
 // runOne executes the configured program once under the given controlled
@@ -138,20 +103,24 @@ func Explore(cfg Config) Report {
 	rep := Report{Config: cfg}
 
 	x := newExplorer(cfg)
-	defer x.release()
-	dfsBudget := cfg.MaxExecutions / 2
-	if v := x.exploreDFS(dfsBudget, &rep); v != nil {
-		rep.Violation = v
-		return rep
+	rep.Violation = x.explore(&rep)
+	x.sys.Release()
+	return rep
+}
+
+// explore runs Explore's two phases on x, stopping at the first violation.
+func (x *explorer) explore(rep *Report) *Violation {
+	cfg := x.cfg
+	if v := x.exploreDFS(cfg.MaxExecutions/2, rep); v != nil {
+		return v
 	}
 	for i := 0; rep.Executions < cfg.MaxExecutions; i++ {
 		spec := schedule{Kind: "walk", Seed: cfg.Seed + uint64(i)}
-		if v := x.runRecorded(spec, &rep); v != nil {
-			rep.Violation = v
-			return rep
+		if v := x.runRecorded(spec, rep); v != nil {
+			return v
 		}
 	}
-	return rep
+	return nil
 }
 
 // runRecorded runs one schedule, accounts it in rep, and wraps any

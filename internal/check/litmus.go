@@ -248,7 +248,6 @@ func EnumerateOutcomes(cfg Config) (map[string]int, Report) {
 	rep := Report{Config: cfg}
 	outcomes := map[string]int{}
 	x := newExplorer(cfg)
-	defer x.release()
 	record := func(spec schedule) *ctrl {
 		sc := newCtrl(cfg, spec)
 		out, desc, points, truncated := x.runOne(sc)
@@ -275,5 +274,6 @@ func EnumerateOutcomes(cfg Config) (map[string]int, Report) {
 	for i := 0; rep.Executions < cfg.MaxExecutions; i++ {
 		record(schedule{Kind: "walk", Seed: cfg.Seed + uint64(i)})
 	}
+	x.sys.Release()
 	return outcomes, rep
 }

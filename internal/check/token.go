@@ -4,6 +4,9 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+
+	"hrwle/internal/htm"
+	"hrwle/internal/machine"
 )
 
 // tokenPayload is the self-contained description of one execution: the
@@ -60,6 +63,7 @@ func Replay(token string) (Report, error) {
 	}
 	cfg := p.Cfg.withDefaults()
 	rep := Report{Config: cfg}
-	rep.Violation = explorerOn(cfg, keyOf(cfg).build()).runRecorded(p.Sched, &rep)
+	mcfg, hcfg := systemConfig(cfg)
+	rep.Violation = explorerOn(cfg, htm.NewSystem(machine.New(mcfg), hcfg)).runRecorded(p.Sched, &rep)
 	return rep, nil
 }

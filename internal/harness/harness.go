@@ -112,9 +112,10 @@ func CheckSchemes(schemes []string, extra ...string) error {
 // may run many of them concurrently; anything a point needs from the
 // harness must travel through its ctx rather than package-level state.
 type PointCtx struct {
-	// Observe, if non-nil, receives every machine the point constructs,
-	// right after machine.New and before the run starts. The metrics
-	// exporter uses it to install one obs.Collector per point.
+	// Observe, if non-nil, receives every machine the point runs on,
+	// right after the point takes its system (htm.Take) and before the
+	// run starts. The metrics exporter uses it to install one
+	// obs.Collector per point.
 	Observe func(*machine.Machine)
 }
 

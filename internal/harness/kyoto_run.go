@@ -28,13 +28,13 @@ func kyotoScheme(name string) (rwlock.Factory, kyoto.InnerPolicy) {
 // RunKyoto measures one Fig. 9 point of the wicked workload.
 func RunKyoto(ctx PointCtx, threads, writePct, totalOps int, seed uint64, scheme string) Result {
 	cfg := kyoto.DefaultConfig()
-	m := machine.New(machine.Config{
+	sys := htm.Take(machine.Config{
 		CPUs:     threads,
 		MemWords: cfg.MemWords(),
 		Seed:     seed,
-	})
+	}, htm.Config{})
+	m := sys.M
 	ctx.observe(m)
-	sys := htm.NewSystem(m, htm.Config{})
 	mk, pol := kyotoScheme(scheme)
 	lock := mk(sys)
 	db := kyoto.New(m, cfg)
@@ -51,7 +51,9 @@ func RunKyoto(ctx PointCtx, threads, writePct, totalOps int, seed uint64, scheme
 			w.Step(lock, th, c)
 		}
 	})
-	return Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
+	r := Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
+	sys.Release()
+	return r
 }
 
 func kyotoFigure() *FigureSpec {

@@ -12,14 +12,14 @@ import (
 // unmodified hashmap (the paper's §2 point: RCU is the performance
 // yardstick that demands per-structure surgery; RW-LE chases it with none).
 func RunRCUHashmap(ctx PointCtx, p HashmapParams) Result {
-	m := machine.New(machine.Config{
+	sys := htm.Take(machine.Config{
 		CPUs:     p.Threads,
 		MemWords: p.memWords(),
 		Seed:     p.Seed,
 		Paging:   p.Paging,
-	})
+	}, p.HTM)
+	m := sys.M
 	ctx.observe(m)
-	sys := htm.NewSystem(m, p.HTM)
 	d := rcu.NewDomain(m)
 	h := rcu.NewMap(m, d, p.Buckets)
 	h.Populate(p.Items)
@@ -45,7 +45,9 @@ func RunRCUHashmap(ctx PointCtx, p HashmapParams) Result {
 			th.St.Ops++
 		}
 	})
-	return Result{Cycles: cycles, B: stats.Merge(sys.Stats(p.Threads), cycles)}
+	r := Result{Cycles: cycles, B: stats.Merge(sys.Stats(p.Threads), cycles)}
+	sys.Release()
+	return r
 }
 
 func rcuFigure() *FigureSpec {

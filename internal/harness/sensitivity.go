@@ -32,14 +32,14 @@ func (p *HashmapParams) memWords() int64 {
 
 // RunHashmap measures one sensitivity point under the given scheme.
 func RunHashmap(ctx PointCtx, p HashmapParams, mk rwlock.Factory) Result {
-	m := machine.New(machine.Config{
+	sys := htm.Take(machine.Config{
 		CPUs:     p.Threads,
 		MemWords: p.memWords(),
 		Seed:     p.Seed,
 		Paging:   p.Paging,
-	})
+	}, p.HTM)
+	m := sys.M
 	ctx.observe(m)
-	sys := htm.NewSystem(m, p.HTM)
 	lock := mk(sys)
 	h := hashmap.New(m, p.Buckets)
 	h.Populate(p.Items)
@@ -97,6 +97,7 @@ func RunHashmap(ctx PointCtx, p HashmapParams, mk rwlock.Factory) Result {
 			r.Adaptive = &obs.AdaptiveState{Budget: budget, WinRate10: rate}
 		}
 	}
+	sys.Release()
 	return r
 }
 

@@ -13,13 +13,13 @@ import (
 // update operations under the write lock.
 func RunSTMBench7(ctx PointCtx, threads, writePct, totalOps int, seed uint64, mk rwlock.Factory) Result {
 	cfg := stmbench7.DefaultConfig()
-	m := machine.New(machine.Config{
+	sys := htm.Take(machine.Config{
 		CPUs:     threads,
 		MemWords: cfg.MemWords(),
 		Seed:     seed,
-	})
+	}, htm.Config{})
+	m := sys.M
 	ctx.observe(m)
-	sys := htm.NewSystem(m, htm.Config{})
 	lock := mk(sys)
 	b := stmbench7.Build(m, cfg)
 	mix := stmbench7.NewMix(writePct)
@@ -34,7 +34,9 @@ func RunSTMBench7(ctx PointCtx, threads, writePct, totalOps int, seed uint64, mk
 			mix.Step(b, lock, th, c)
 		}
 	})
-	return Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
+	r := Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
+	sys.Release()
+	return r
 }
 
 func stmbench7Figure() *FigureSpec {

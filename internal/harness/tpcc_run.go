@@ -14,13 +14,13 @@ import (
 // transactions over an in-memory store.
 func RunTPCC(ctx PointCtx, threads, writePct, totalOps int, seed uint64, mk rwlock.Factory) Result {
 	cfg := tpcc.DefaultConfig()
-	m := machine.New(machine.Config{
+	sys := htm.Take(machine.Config{
 		CPUs:     threads,
 		MemWords: cfg.MemWords(int64(totalOps)),
 		Seed:     seed,
-	})
+	}, htm.Config{})
+	m := sys.M
 	ctx.observe(m)
-	sys := htm.NewSystem(m, htm.Config{})
 	lock := mk(sys)
 	db := tpcc.Build(m, cfg)
 	wl := &tpcc.Workload{DB: db, WritePct: writePct}
@@ -35,7 +35,9 @@ func RunTPCC(ctx PointCtx, threads, writePct, totalOps int, seed uint64, mk rwlo
 			wl.Step(lock, th, c)
 		}
 	})
-	return Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
+	r := Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
+	sys.Release()
+	return r
 }
 
 // tpccFigure reports speedup relative to SGL at one thread (the paper's

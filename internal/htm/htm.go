@@ -171,37 +171,57 @@ type System struct {
 }
 
 // NewSystem wraps a machine with HTM support. It allocates the directory
-// and one Thread per CPU, then puts each thread in the state Reset leaves
-// it in.
+// and one Thread per CPU, then puts the system in the state a reset leaves
+// it in. It does not reset the machine. Point builders take their system
+// from Take instead; NewSystem is for references and one-shot runs.
 func NewSystem(m *machine.Machine, cfg Config) *System {
-	cfg.applyDefaults()
-	s := &System{M: m, Cfg: cfg}
+	s := &System{M: m}
 	s.dir = make([]dirEntry, m.NumLines())
 	s.wideReaders = m.NewWideBits()
 	s.threads = make([]*Thread, m.Cfg.CPUs)
 	for i := range s.threads {
 		s.threads[i] = &Thread{C: m.CPU(i), sys: s}
-		s.threads[i].reset()
 	}
+	s.install(cfg)
 	return s
 }
 
 // Reset returns s and its machine to the state NewSystem(machine.New(
-// s.M.Cfg), s.Cfg) returns, reusing their storage. It clears the
-// directory entries and wide readers of the lines the machine's allocator
-// handed out (machine.UsedLines; no other line can have been accessed)
-// and the access-trace flag, resets the machine (machine.Reset, with its
-// contract), and returns every thread to its initial state, keeping the
-// capacity of its line lists and store buffer. Like machine.Reset, it
-// must not be called during Run.
-func (s *System) Reset() {
+// s.M.Cfg), s.Cfg) returns, reusing their storage. It is resetTo with the
+// system's own configurations.
+func (s *System) Reset() { s.resetTo(s.M.Cfg, s.Cfg) }
+
+// resetTo returns s and its machine to the state NewSystem(machine.New(
+// mcfg), cfg) returns, reusing their storage; mcfg must fit the machine
+// (machine.Fits). It clears the directory entries and wide readers of the
+// lines the machine's allocator handed out (machine.UsedLines; no other
+// line can have been accessed), resets the machine to mcfg
+// (machine.ResetTo, with its contract), and installs cfg. Like
+// machine.ResetTo, it must not be called during Run.
+func (s *System) resetTo(mcfg machine.Config, cfg Config) {
 	used := s.M.UsedLines()
 	clear(s.dir[:used])
 	if s.wideReaders != nil {
 		clear(s.wideReaders[:used])
 	}
+	s.M.ResetTo(mcfg)
+	s.install(cfg)
+}
+
+// install sizes the directory and the thread list to the machine's lines
+// and CPUs, installs cfg, turns access tracing off, and returns every
+// thread to its initial state, keeping the capacity of its line lists and
+// store buffer. Directory entries beyond the lines in use are zero, so
+// reslicing needs no clearing.
+func (s *System) install(cfg Config) {
+	cfg.applyDefaults()
+	s.Cfg = cfg
+	s.dir = s.dir[:s.M.NumLines()]
+	if s.wideReaders != nil {
+		s.wideReaders = s.wideReaders[:len(s.dir)]
+	}
+	s.threads = s.threads[:s.M.Cfg.CPUs]
 	s.traceAccesses = false
-	s.M.Reset()
 	for _, t := range s.threads {
 		t.reset()
 	}

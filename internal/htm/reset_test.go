@@ -156,3 +156,116 @@ func TestSystemResetMatchesNew(t *testing.T) {
 		})
 	}
 }
+
+// assertNewState compares s with a new system of its shape: the machine
+// configuration, the HTM configuration, a cleared directory of the
+// machine's line count, access tracing off, and one thread per CPU in its
+// initial state.
+func assertNewState(t *testing.T, s *System) {
+	t.Helper()
+	want := NewSystem(machine.New(s.M.Cfg), s.Cfg)
+	if !reflect.DeepEqual(s.M.Cfg, want.M.Cfg) || s.Cfg != want.Cfg || s.TraceAccesses() {
+		t.Errorf("configuration %+v / %+v (tracing %v), want %+v / %+v", s.M.Cfg, s.Cfg, s.TraceAccesses(), want.M.Cfg, want.Cfg)
+	}
+	if !reflect.DeepEqual(s.dir, want.dir) || !reflect.DeepEqual(s.wideReaders, want.wideReaders) {
+		t.Errorf("directory of %d lines differs from a new one of %d lines", len(s.dir), len(want.dir))
+	}
+	if len(s.threads) != len(want.threads) {
+		t.Fatalf("%d threads, want %d", len(s.threads), len(want.threads))
+	}
+	for _, th := range s.threads {
+		if th.mode != ModeNone || th.suspended || th.doom != -1 || th.doomKiller != -1 || th.doomAddr != 0 ||
+			len(th.readLines) != 0 || len(th.writeLines) != 0 || th.ws.n != 0 || th.St != (stats.Thread{}) {
+			t.Fatalf("thread %d not in its initial state", th.C.ID)
+		}
+	}
+}
+
+// TestSystemResetToMatchesNew checks that a system reset onto a new shape
+// reproduces a new system of that shape. Each case builds a system with
+// the storage of built, resets it to each shape of via in turn and runs
+// the program there, then resets it to the target: after every reset the
+// state must be a new system's, and on the target the program must give
+// the same events, memory words, statistics and counters as on a new
+// system.
+func TestSystemResetToMatchesNew(t *testing.T) {
+	target := resetSysConfig(3)
+	with := func(f func(*machine.Config)) machine.Config {
+		c := target
+		f(&c)
+		return c
+	}
+	larger := with(func(c *machine.Config) { c.MemWords = 1 << 15 })
+	type shape struct {
+		m machine.Config
+		h Config
+	}
+	for _, tc := range []struct {
+		name  string
+		built machine.Config
+		via   []shape
+	}{
+		{"larger memory", larger, []shape{{larger, Config{}}}},
+		{"smaller memory", larger, []shape{{with(func(c *machine.Config) { c.MemWords = 1 << 13 }), Config{}}}},
+		{"more CPUs", target, []shape{{with(func(c *machine.Config) { c.CPUs = 2 }), Config{}}, {target, Config{}}}},
+		{"another seed", target, []shape{{with(func(c *machine.Config) { c.Seed = 6 }), Config{}}}},
+		{"another HTM config", target, []shape{{target, Config{UnsafeLoseDoomAtResume: true, WriteCapLines: 8}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := sysProgram(NewSystem(machine.New(target), Config{}))
+			s := NewSystem(machine.New(tc.built), Config{})
+			for _, v := range tc.via {
+				s.resetTo(v.m, v.h)
+				assertNewState(t, s)
+				sysProgram(s)
+			}
+			s.resetTo(target, Config{})
+			assertNewState(t, s)
+			if got := sysProgram(s); !reflect.DeepEqual(got, want) {
+				t.Errorf("run after resetTo diverged from the run on a new system: cycles %d vs %d, %d vs %d events",
+					got.cycles, want.cycles, len(got.events), len(want.events))
+			}
+		})
+	}
+}
+
+// TestTakeReusesWhatFits checks that Take resets an idle system whose
+// storage fits the request, and builds a new one for a request that does
+// not fit: more memory, more CPUs, or the other side of 64 CPUs.
+func TestTakeReusesWhatFits(t *testing.T) {
+	pool.Lock()
+	pool.idle = nil
+	pool.Unlock()
+	base := machine.Config{CPUs: 4, MemWords: 1 << 14, Seed: 1}
+	s := Take(base, Config{})
+	s.Release()
+	for _, tc := range []struct {
+		name  string
+		cfg   machine.Config
+		reuse bool
+	}{
+		{"same shape", base, true},
+		{"smaller", machine.Config{CPUs: 2, MemWords: 1 << 12, Seed: 2}, true},
+		{"more memory", machine.Config{CPUs: 4, MemWords: 1<<14 + 16}, false},
+		{"more CPUs", machine.Config{CPUs: 5, MemWords: 1 << 14}, false},
+		{"above 64 CPUs", machine.Config{CPUs: 65, MemWords: 1 << 12}, false},
+	} {
+		got := Take(tc.cfg, Config{})
+		if (got == s) != tc.reuse {
+			t.Errorf("%s: reused the idle system = %v, want %v", tc.name, got == s, tc.reuse)
+		}
+		if got.M.Cfg.CPUs != max(tc.cfg.CPUs, 1) || got.M.Cfg.MemWords != tc.cfg.MemWords || got.M.Cfg.Seed != tc.cfg.Seed {
+			t.Errorf("%s: got a machine of %d CPUs, %d words, seed %d", tc.name, got.M.Cfg.CPUs, got.M.Cfg.MemWords, got.M.Cfg.Seed)
+		}
+		got.Release()
+		if !tc.reuse {
+			// The idle system did not fit and was dropped for the new one.
+			s = got
+		}
+	}
+	pool.Lock()
+	defer pool.Unlock()
+	if len(pool.idle) != 1 {
+		t.Errorf("pool holds %d idle systems after a serial sequence, want 1", len(pool.idle))
+	}
+}

@@ -14,18 +14,14 @@ type arena struct {
 	free      map[int64][]Addr
 }
 
-// init sizes the arena; reset then starts it empty.
-func (a *arena) init(memWords, lineWords int64) {
-	a.limit = Addr(memWords)
-	a.lineWords = lineWords
-	a.free = make(map[int64][]Addr)
-}
-
-// reset returns every block to the arena: the bump pointer goes back to
-// the start and the free lists are emptied in place, keeping their storage.
+// reset empties the arena and sizes it for cfg: the bump pointer goes
+// back to the start and the free lists are emptied in place, keeping their
+// storage.
 //
 //simlint:allow determinism every free list is truncated independently, so the map's iteration order cannot affect the result
-func (a *arena) reset() {
+func (a *arena) reset(cfg Config) {
+	a.limit = Addr(cfg.MemWords)
+	a.lineWords = cfg.LineWords
 	// Reserve line 0 so that Addr 0 can serve as nil and so the first
 	// allocation never shares a line with the nil address.
 	a.next = Addr(a.lineWords)
@@ -34,7 +30,10 @@ func (a *arena) reset() {
 	}
 }
 
-func (a *arena) alloc(n int64, lineAligned bool) Addr {
+// alloc returns a block of n words and whether it was recycled from a
+// free list; a block that was not is bump space above every earlier
+// allocation.
+func (a *arena) alloc(n int64, lineAligned bool) (addr Addr, recycled bool) {
 	if n <= 0 {
 		panic("machine: Alloc with non-positive size")
 	}
@@ -48,9 +47,8 @@ func (a *arena) alloc(n int64, lineAligned bool) Addr {
 		key = -n // aligned blocks use a separate size-class namespace
 	}
 	if lst := a.free[key]; len(lst) > 0 {
-		addr := lst[len(lst)-1]
 		a.free[key] = lst[:len(lst)-1]
-		return addr
+		return lst[len(lst)-1], true
 	}
 	p := a.next
 	if lineAligned {
@@ -60,7 +58,7 @@ func (a *arena) alloc(n int64, lineAligned bool) Addr {
 		panic(fmt.Sprintf("machine: simulated memory exhausted (%d words requested, %d free)", n, a.limit-a.next))
 	}
 	a.next = p + Addr(n)
-	return p
+	return p, false
 }
 
 func (a *arena) release(addr Addr, n int64, lineAligned bool) {
@@ -72,14 +70,19 @@ func (a *arena) release(addr Addr, n int64, lineAligned bool) {
 	a.free[key] = append(a.free[key], addr)
 }
 
-// allocWords allocates and zeroes n words of simulated memory.
+// allocWords allocates n words of simulated memory, all zero. Only a
+// block recycled from a free list needs clearing: bump space above the
+// high-water mark is zero already, because New and ResetTo leave all of
+// it zero and nothing above the mark is ever written.
 func (m *Machine) allocWords(n int64, aligned bool) Addr {
-	addr := m.alloc.alloc(n, aligned)
-	size := Addr(n)
-	if aligned {
-		size = Addr((n + m.Cfg.LineWords - 1) &^ (m.Cfg.LineWords - 1))
+	addr, recycled := m.alloc.alloc(n, aligned)
+	if recycled {
+		size := Addr(n)
+		if aligned {
+			size = Addr((n + m.Cfg.LineWords - 1) &^ (m.Cfg.LineWords - 1))
+		}
+		clear(m.words[addr : addr+size])
 	}
-	clear(m.words[addr : addr+size])
 	return addr
 }
 

@@ -225,48 +225,76 @@ type Machine struct {
 	runOnce sync.Mutex
 }
 
-// New creates a machine with the given configuration. It allocates the
-// machine's storage and then runs Reset, so the initial state has one
-// definition: a new machine is a reset one. Fresh storage is already zero,
-// and Reset clears only what the allocator has handed out, so New never
-// zeroes memory twice.
+// New creates a machine with the given configuration. It allocates storage
+// of exactly cfg's shape and then runs ResetTo(cfg), so the initial state
+// has one definition: a new machine is a reset one. Fresh storage is
+// already zero, and a reset clears only what the allocator has handed out,
+// so New never zeroes memory twice.
 func New(cfg Config) *Machine {
 	cfg.applyDefaults()
 	m := &Machine{Cfg: cfg}
 	for s := int64(1); s < cfg.LineWords; s <<= 1 {
 		m.lineShift++
 	}
-	nLines := (cfg.MemWords + cfg.LineWords - 1) >> m.lineShift
 	m.words = make([]uint64, cfg.MemWords)
-	m.lines = make([]line, nLines)
+	m.lines = make([]line, m.numLines(cfg.MemWords))
 	m.wideSharers = m.NewWideBits()
-	m.pager.init(cfg)
-	m.alloc.init(cfg.MemWords, cfg.LineWords)
+	m.alloc.free = make(map[int64][]Addr)
 	m.cpus = make([]*CPU, cfg.CPUs)
 	for i := range m.cpus {
 		m.cpus[i] = &CPU{m: m, ID: i}
 	}
-	m.Reset()
+	m.ResetTo(cfg)
 	return m
 }
 
-// Reset returns m to the state New(m.Cfg) returns, reusing its storage:
+// numLines returns the number of cache lines covering words words.
+func (m *Machine) numLines(words int64) int {
+	return int((words + m.Cfg.LineWords - 1) >> m.lineShift)
+}
+
+// Fits reports whether m's storage can take the shape of cfg, so that
+// ResetTo(cfg) needs no new storage: cfg asks for no more memory words and
+// CPUs than m was built with, the same line size, and the same side of 64
+// CPUs (a machine above 64 CPUs keeps per-line side tables, one at or
+// below 64 has none).
+func (m *Machine) Fits(cfg Config) bool {
+	cfg.applyDefaults()
+	return cfg.LineWords == m.Cfg.LineWords &&
+		cfg.MemWords <= int64(cap(m.words)) &&
+		cfg.CPUs <= cap(m.cpus) &&
+		(cfg.CPUs > 64) == (m.wideSharers != nil)
+}
+
+// ResetTo returns m to the state New(cfg) returns, reusing its storage:
 // memory, coherence state, allocator, pager, CPUs, virtual time, tracer
-// and scheduler. It zeroes only the words below the allocator's high-water
-// mark (HeapUsed) and the coherence state of the lines covering them
-// (UsedLines); nothing above the mark was ever handed out. A program that
-// reads or writes addresses the allocator never returned is outside that
-// contract and must build a new machine instead. Each CPU keeps its TLB
-// storage, which Run re-initializes.
+// and scheduler. cfg must fit m's storage (Fits); ResetTo panics if it
+// does not.
 //
-// Reset must not be called while Run is in progress; it panics if it is.
-// A machine wrapped by an htm.System is reset through System.Reset, which
-// also rebinds the CPUs' HTM hooks.
+// It zeroes only the words below the allocator's high-water mark
+// (HeapUsed) and the coherence state of the lines covering them
+// (UsedLines); nothing above the mark was ever handed out, so all storage
+// above it, up to the capacity m was built with, stays zero. A program
+// that reads or writes addresses the allocator never returned is outside
+// that contract and must build a new machine instead. The memory, line
+// and CPU slices are then resliced to exactly cfg's shape: schemes size
+// their per-CPU state from Cfg.CPUs, so a machine with spare CPUs would
+// not be equivalent. Each CPU keeps its TLB storage, which Run
+// re-initializes.
 //
-//simlint:allow determinism the runOnce TryLock only rejects a Reset racing a Run on the host side; it orders no simulated event
-func (m *Machine) Reset() {
+// ResetTo must not be called while Run is in progress; it panics if it
+// is. A machine wrapped by an htm.System is reset through the System,
+// which also clears its directory and rebinds the CPUs' HTM hooks.
+//
+//simlint:allow determinism the runOnce TryLock only rejects a reset racing a Run on the host side; it orders no simulated event
+func (m *Machine) ResetTo(cfg Config) {
+	cfg.applyDefaults()
+	if !m.Fits(cfg) {
+		panic(fmt.Sprintf("machine: ResetTo %d words, %d CPUs, %d-word lines does not fit storage of %d words, %d CPUs, %d-word lines",
+			cfg.MemWords, cfg.CPUs, cfg.LineWords, cap(m.words), cap(m.cpus), m.Cfg.LineWords))
+	}
 	if !m.runOnce.TryLock() {
-		panic("machine: Reset during Run")
+		panic("machine: ResetTo during Run")
 	}
 	defer m.runOnce.Unlock()
 
@@ -276,8 +304,18 @@ func (m *Machine) Reset() {
 	if m.wideSharers != nil {
 		clear(m.wideSharers[:used])
 	}
-	m.alloc.reset()
 	m.pager.reset()
+
+	m.Cfg = cfg
+	n := m.numLines(cfg.MemWords)
+	m.words = m.words[:cfg.MemWords]
+	m.lines = m.lines[:n]
+	if m.wideSharers != nil {
+		m.wideSharers = m.wideSharers[:n]
+	}
+	m.pager.init(cfg)
+	m.alloc.reset(cfg)
+	m.cpus = m.cpus[:cfg.CPUs]
 	for _, c := range m.cpus {
 		c.reset()
 	}
@@ -293,9 +331,7 @@ func (m *Machine) Reset() {
 // words the allocator has handed out (HeapUsed). Layers that keep per-line
 // state beside the machine's (the HTM conflict directory) clear this many
 // entries when they reset.
-func (m *Machine) UsedLines() int {
-	return int((int64(m.alloc.next) + m.Cfg.LineWords - 1) >> m.lineShift)
-}
+func (m *Machine) UsedLines() int { return m.numLines(int64(m.alloc.next)) }
 
 // NumLines returns the number of cache lines covering simulated memory.
 // Layers above (e.g. the HTM conflict directory) size their per-line

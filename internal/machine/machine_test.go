@@ -259,6 +259,9 @@ func TestAllocatorDistinctAndZeroed(t *testing.T) {
 	})
 }
 
+// TestAllocatorReuseAfterFree checks that a freed block is reused and
+// comes back zeroed, plain and line-aligned (whose size is rounded up to
+// whole lines): unlike bump space, a recycled block held data.
 func TestAllocatorReuseAfterFree(t *testing.T) {
 	m := New(testConfig(1))
 	m.Run(1, func(c *CPU) {
@@ -267,6 +270,24 @@ func TestAllocatorReuseAfterFree(t *testing.T) {
 		b := c.Alloc(8)
 		if a != b {
 			t.Errorf("free block not reused: %d then %d", a, b)
+		}
+		lw := Addr(m.Cfg.LineWords)
+		for _, aligned := range []bool{false, true} {
+			alloc, free, size := c.Alloc, c.Free, Addr(8)
+			if aligned {
+				alloc, free, size = c.AllocAligned, c.FreeAligned, lw
+			}
+			a := alloc(8)
+			for j := Addr(0); j < size; j++ {
+				c.Write(a+j, 7)
+			}
+			free(a, 8)
+			b := alloc(8)
+			for j := Addr(0); j < size; j++ {
+				if m.Peek(b+j) != 0 {
+					t.Fatalf("aligned=%v: recycled block word %d = %d, want 0", aligned, j, m.Peek(b+j))
+				}
+			}
 		}
 	})
 }

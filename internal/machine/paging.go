@@ -19,15 +19,22 @@ type pager struct {
 	hand          int64
 }
 
+// init configures p for cfg with every page evicted, reusing the page
+// table's storage when it is large enough. It runs after reset, so every
+// entry up to the table's capacity is zero.
 func (p *pager) init(cfg Config) {
 	p.enabled = cfg.Paging.Enabled
 	p.pageWords = cfg.Paging.PageWords
 	p.residentLimit = cfg.Paging.ResidentLimit
 	if !p.enabled {
+		p.pages = nil
 		return
 	}
 	n := (cfg.MemWords + p.pageWords - 1) / p.pageWords
-	p.pages = make([]pageState, n)
+	if int64(cap(p.pages)) < n {
+		p.pages = make([]pageState, n)
+	}
+	p.pages = p.pages[:n]
 }
 
 // reset evicts every page. A page is referenced only while resident, so

@@ -122,7 +122,7 @@ func TestResetMatchesNew(t *testing.T) {
 			m := New(cfg)
 			resetProgram(m)
 			resetProgram(m) // a second run on top: time and the heap move on
-			m.Reset()
+			m.ResetTo(cfg)
 			assertInitialState(t, m, New(cfg))
 			if got := resetProgram(m); !reflect.DeepEqual(got, want) {
 				t.Errorf("run after Reset diverged from the run on a new machine: cycles %d vs %d, %d vs %d events, heap %d vs %d",
@@ -136,6 +136,9 @@ func TestResetMatchesNew(t *testing.T) {
 // the CPUs' TLB storage, which Reset keeps and Run re-initializes.
 func assertInitialState(t *testing.T, got, want *Machine) {
 	t.Helper()
+	if !reflect.DeepEqual(got.Cfg, want.Cfg) {
+		t.Errorf("configuration %+v, want %+v", got.Cfg, want.Cfg)
+	}
 	if !reflect.DeepEqual(got.words, want.words) {
 		t.Error("memory words differ from a new machine")
 	}
@@ -165,12 +168,89 @@ func assertInitialState(t *testing.T, got, want *Machine) {
 	}
 }
 
+// TestResetToMatchesNew checks that a machine reset onto a new shape
+// reproduces a new machine of that shape. Each case builds a machine with
+// the storage of built, resets it to each shape of via in turn and runs the
+// program there, then resets it to the target. After every reset the state
+// must equal a new machine's of that shape, and on the target the program
+// must give the same run as on New(target).
+func TestResetToMatchesNew(t *testing.T) {
+	target := resetConfig(3)
+	with := func(f func(*Config)) Config {
+		c := target
+		f(&c)
+		return c
+	}
+	larger := with(func(c *Config) { c.MemWords = 1 << 15 })
+	smaller := with(func(c *Config) { c.MemWords = 1 << 13 })
+	fewer := with(func(c *Config) { c.CPUs = 2 })
+	for _, tc := range []struct {
+		name  string
+		built Config
+		via   []Config
+	}{
+		{"larger memory", larger, []Config{larger}},
+		{"smaller memory", larger, []Config{smaller}},
+		{"more CPUs", target, []Config{fewer, target}},
+		{"another seed", target, []Config{with(func(c *Config) { c.Seed = 10 })}},
+		{"no paging", target, []Config{with(func(c *Config) { c.Paging = PagingConfig{} })}},
+		{"other paging", larger, []Config{with(func(c *Config) { c.MemWords, c.Paging.PageWords, c.Paging.TLBEntries = 1<<15, 32, 8 })}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := resetProgram(New(target))
+			m := New(tc.built)
+			for _, cfg := range tc.via {
+				m.ResetTo(cfg)
+				assertInitialState(t, m, New(cfg))
+				resetProgram(m)
+			}
+			m.ResetTo(target)
+			assertInitialState(t, m, New(target))
+			if got := resetProgram(m); !reflect.DeepEqual(got, want) {
+				t.Errorf("run after ResetTo diverged from the run on a new machine: cycles %d vs %d, %d vs %d events, heap %d vs %d",
+					got.cycles, want.cycles, len(got.events), len(want.events), got.heapUsed, want.heapUsed)
+			}
+		})
+	}
+}
+
+// TestFits checks which shapes a machine's storage takes: no more words
+// or CPUs than it was built with, the same line size and the same side of
+// 64 CPUs. ResetTo refuses the rest.
+func TestFits(t *testing.T) {
+	m := New(Config{CPUs: 8, MemWords: 1 << 14})
+	for _, tc := range []struct {
+		cfg  Config
+		fits bool
+	}{
+		{Config{CPUs: 8, MemWords: 1 << 14}, true},
+		{Config{CPUs: 1, MemWords: 1 << 10, Seed: 3, Paging: PagingConfig{Enabled: true}}, true},
+		{Config{CPUs: 8, MemWords: 1<<14 + 1}, false},
+		{Config{CPUs: 9, MemWords: 1 << 14}, false},
+		{Config{CPUs: 8, MemWords: 1 << 14, LineWords: 8}, false},
+	} {
+		if got := m.Fits(tc.cfg); got != tc.fits {
+			t.Errorf("Fits(%d CPUs, %d words, %d-word lines) = %v, want %v", tc.cfg.CPUs, tc.cfg.MemWords, tc.cfg.LineWords, got, tc.fits)
+		}
+	}
+	wide := New(Config{CPUs: 70, MemWords: 1 << 12})
+	if wide.Fits(Config{CPUs: 64, MemWords: 1 << 12}) || !wide.Fits(Config{CPUs: 65, MemWords: 1 << 12}) {
+		t.Error("a machine above 64 CPUs must take only shapes above 64 CPUs")
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "does not fit") {
+			t.Fatalf("ResetTo a shape that does not fit: recovered %v, want a panic", r)
+		}
+	}()
+	m.ResetTo(Config{CPUs: 9, MemWords: 1 << 14})
+}
+
 func TestResetDuringRunPanics(t *testing.T) {
 	m := New(testConfig(1))
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Reset during Run") {
-			t.Fatalf("Reset inside Run: recovered %v, want the Reset-during-Run panic", r)
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "ResetTo during Run") {
+			t.Fatalf("ResetTo inside Run: recovered %v, want the ResetTo-during-Run panic", r)
 		}
 	}()
-	m.Run(1, func(c *CPU) { m.Reset() })
+	m.Run(1, func(c *CPU) { m.ResetTo(m.Cfg) })
 }

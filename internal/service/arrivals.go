@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"hrwle/internal/machine"
 )
@@ -79,7 +80,7 @@ func assignKeys(c *Config, reqs []Request) {
 	if c.Keys.Universe <= 0 {
 		return
 	}
-	z := NewZipf(c.Keys.Universe, c.Keys.Skew)
+	z := keySampler(c.Keys.Universe, c.Keys.Skew)
 	ks := machine.NewStream(keySeed(c.Seed))
 	for i := range reqs {
 		r := &reqs[i]
@@ -90,6 +91,35 @@ func assignKeys(c *Config, reqs []Request) {
 			r.Key2 = k2
 		}
 	}
+}
+
+// zipfMemo is the last skewed (s > 0) sampler keySampler built. A sweep
+// draws the keys of point after point from the same universe and skew,
+// and a table costs one math.Pow per rank (tenths of a second for 2M
+// ranks), so consecutive points share it. Samplers are read-only once
+// built, so points running on other workers may share it too.
+var zipfMemo struct {
+	//simlint:allow determinism the mutex only guards the one-entry memo across sweep workers; a memoized sampler is identical to a freshly built one, so which worker builds it never shows in any result
+	sync.Mutex
+	z *Zipf
+}
+
+// keySampler returns the sampler of universe n and skew s, reusing the
+// memoized table when it has the same n and s. Uniform samplers have no
+// table and bypass the memo: letting them in would evict the skewed table
+// every other point of a sweep that alternates skews.
+//
+//simlint:allow determinism the memo's lock orders host workers only; every caller gets a sampler identical to a freshly built one
+func keySampler(n int, s float64) *Zipf {
+	if s == 0 {
+		return NewZipf(n, s)
+	}
+	zipfMemo.Lock()
+	defer zipfMemo.Unlock()
+	if z := zipfMemo.z; z == nil || z.n != n || z.s != s {
+		zipfMemo.z = NewZipf(n, s)
+	}
+	return zipfMemo.z
 }
 
 // arrivalTimes draws n arrival instants (cycles) for the process.

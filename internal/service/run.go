@@ -54,18 +54,19 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 	for i := range reqs {
 		totalOps += int64(reqs[i].Footprint)
 	}
-	m := machine.New(machine.Config{
+	sys := htm.Take(machine.Config{
 		CPUs:     cfg.Servers,
 		MemWords: cfg.memWords(totalOps),
 		Seed:     cfg.Seed,
-	})
+	}, htm.Config{})
+	m := sys.M
 	if observe != nil {
 		observe(m)
 	}
-	sys := htm.NewSystem(m, htm.Config{})
 	lock := mk(sys)
 	ex, err := newExecutor(&cfg, m, sys, lock, scheme)
 	if err != nil {
+		sys.Release()
 		return nil, nil, nil, err
 	}
 
@@ -130,6 +131,7 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 		sanRep = san.Finish()
 	}
 	b := stats.Merge(sys.Stats(cfg.Servers), cycles)
+	sys.Release()
 	return Assemble(&cfg, scheme, q.reqs, cycles, &b), q.reqs, sanRep, nil
 }
 

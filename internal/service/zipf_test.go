@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"hrwle/internal/machine"
@@ -155,5 +156,83 @@ func TestKeyedScheduleInvariance(t *testing.T) {
 	}
 	if !anyCross {
 		t.Fatal("CrossPct=10 produced no multi-key request in 500 arrivals")
+	}
+}
+
+// uniformTable is the CDF table NewZipf built for s = 0 before uniform
+// samplers dropped it: the running sum of math.Pow(k+1, -0), normalized,
+// with the last entry pinned to 1.
+func uniformTable(n int) []float64 {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for k := range cdf {
+		sum += math.Pow(float64(k+1), -0.0)
+		cdf[k] = sum
+	}
+	inv := 1 / sum
+	for k := range cdf {
+		cdf[k] *= inv
+	}
+	cdf[n-1] = 1
+	return cdf
+}
+
+// TestZipfUniformMatchesTable checks that the table-free uniform sampler
+// returns, for every u, the rank a binary search of the old table
+// returns, and that its CDF entries are the table's bit for bit. The u
+// values are random draws plus every table entry and its neighbours one
+// ulp either side, where an off-by-one step would show.
+func TestZipfUniformMatchesTable(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 1000, 4096, 1 << 21, 3_000_017} {
+		z, cdf := NewZipf(n, 0), uniformTable(n)
+		if z.cdf != nil {
+			t.Fatalf("n=%d: the uniform sampler built a table", n)
+		}
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return
+			}
+			want := min(sort.SearchFloat64s(cdf, u), n-1)
+			if got := z.rank(u); got != want {
+				t.Fatalf("n=%d u=%v: rank %d, the table gives %d", n, u, got, want)
+			}
+		}
+		for k, c := range cdf {
+			if got := z.cdfAt(k); got != c {
+				t.Fatalf("n=%d: cdfAt(%d) = %v, the table holds %v", n, k, got, c)
+			}
+			check(math.Nextafter(c, 0))
+			check(c)
+			check(math.Nextafter(c, 2))
+		}
+		st := machine.NewStream(uint64(n))
+		for i := 0; i < 100_000; i++ {
+			check(st.Float64())
+		}
+		check(0)
+	}
+}
+
+// TestKeySamplerMemo checks the one-entry memo of skewed samplers: the
+// same universe and skew share one table, another universe or skew gets
+// its own, and a uniform sampler neither uses nor evicts the memo.
+func TestKeySamplerMemo(t *testing.T) {
+	a := keySampler(1000, 1.2)
+	if keySampler(1000, 1.2) != a {
+		t.Error("the same universe and skew built a second table")
+	}
+	if u := keySampler(1000, 0); u.cdf != nil || u.S() != 0 {
+		t.Error("a uniform sampler came with a table")
+	}
+	if keySampler(1000, 1.2) != a {
+		t.Error("a uniform sampler evicted the memoized table")
+	}
+	for _, c := range []struct {
+		n int
+		s float64
+	}{{1000, 0.9}, {999, 1.2}} {
+		if z := keySampler(c.n, c.s); z == a || z.N() != c.n || z.S() != c.s {
+			t.Errorf("keySampler(%d, %v) returned the sampler of (%d, %v)", c.n, c.s, z.N(), z.S())
+		}
 	}
 }

@@ -240,15 +240,15 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 		return nil, err
 	}
 
-	m := machine.New(machine.Config{
+	sys := htm.Take(machine.Config{
 		CPUs:     cfg.Servers,
 		MemWords: memWords(&cfg, len(palette)),
 		Seed:     cfg.Seed,
-	})
+	}, htm.Config{})
+	m := sys.M
 	if observe != nil {
 		observe(m)
 	}
-	sys := htm.NewSystem(m, htm.Config{})
 
 	d := &deployment{
 		cfg:     &cfg,
@@ -337,6 +337,7 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 		res.CrossTx += sh.crossTx
 	}
 	res.CrossTx /= 2 // each cross-shard tx was counted by both shards
+	sys.Release()
 	return res, nil
 }
 

@@ -235,7 +235,12 @@ func (db *DB) Delivery(t *htm.Thread, w int64, carrier uint64) DeliveryResult {
 // budget for roughly half of HLE's read attempts.
 func (db *DB) StockLevel(t *htm.Thread, w, d int64, threshold uint64) int {
 	di := db.district(w, d)
-	seen := make(map[uint64]bool, 64) // host-local scratch: restartable
+	seen := db.stockSeen[t.C.ID]
+	if seen == nil {
+		seen = make(map[uint64]bool, 64)
+		db.stockSeen[t.C.ID] = seen
+	}
+	clear(seen) // a restarted attempt starts from an empty set
 	low := 0
 	for i := 0; i < RecentOrders; i++ {
 		order := machine.Addr(t.Load(di + diRing + machine.Addr(i)))

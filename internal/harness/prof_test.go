@@ -186,9 +186,10 @@ func TestProfilerWindowInvariance(t *testing.T) {
 	}
 }
 
-// TestTimelineSubscription pins the live-subscription contract: windows
-// arrive in index order, each exactly once, and the subscribed
-// event-derived series matches the final report's.
+// TestTimelineSubscription pins the subscription contract of a standalone
+// Timeline, which delivers at Finish: windows arrive in index order, each
+// exactly once, and the subscribed event-derived series matches the final
+// report's.
 func TestTimelineSubscription(t *testing.T) {
 	cfg, rate := profTestConfig(t, "hashmap")
 	cfg.Arrivals.RatePerSec = rate

@@ -128,8 +128,14 @@ func (c *Collector) EventTotals() map[string]int64 {
 // victim). Killer -1 denotes aborts with no aggressor CPU (capacity,
 // explicit, lock-busy and VM-subsystem aborts).
 func (c *Collector) Matrix() []MatrixCell {
-	cells := make([]MatrixCell, 0, len(c.matrix))
-	for k, n := range c.matrix {
+	return matrixCells(c.matrix)
+}
+
+// matrixCells converts abort-attribution counts into cells sorted by
+// (cause, killer, victim).
+func matrixCells(m map[matrixKey]int64) []MatrixCell {
+	cells := make([]MatrixCell, 0, len(m))
+	for k, n := range m {
 		cells = append(cells, MatrixCell{
 			Cause:  k.cause.String(),
 			causeN: int(k.cause),

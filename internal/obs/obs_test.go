@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -224,13 +225,25 @@ func TestWriteChromeTraceValidAndBalanced(t *testing.T) {
 }
 
 // TestTimelineMultipleSubscribers pins the fan-out contract of
-// Timeline.Subscribe: every subscriber sees every window exactly once, in
-// index order, with identical contents, and no window is delivered before
-// the per-CPU watermark — the minimum last-seen event time across CPUs —
-// has passed its end.
+// Timeline.Subscribe on the live path, a ShardTimelines shard: every
+// subscriber sees every window exactly once, in index order, with
+// identical contents, and no window is delivered before the machine-global
+// watermark — the minimum last-seen event time across CPUs — has passed
+// its end. CPU 1 runs once inside the shard and once unattributed: an
+// unattributed CPU's events land in no shard, yet still hold the watermark
+// back.
 func TestTimelineMultipleSubscribers(t *testing.T) {
+	for _, cpu1Shard := range []int{0, -1} {
+		t.Run(fmt.Sprintf("cpu1-shard=%d", cpu1Shard), func(t *testing.T) {
+			testMultipleSubscribers(t, cpu1Shard)
+		})
+	}
+}
+
+func testMultipleSubscribers(t *testing.T, cpu1Shard int) {
 	const window, cpus, nsubs = 100, 2, 3
-	tl := NewTimeline(window, 0)
+	st := NewShardTimelines(window, 1, 0)
+	tl := st.Shards[0]
 
 	// fed[c] mirrors the event feed below: the last time fed to CPU c so
 	// far. The delivery callback uses it to check the watermark rule.
@@ -253,11 +266,13 @@ func TestTimelineMultipleSubscribers(t *testing.T) {
 			got[i] = append(got[i], w)
 		})
 	}
-	tl.Start(0, cpus)
+	st.Start(0, cpus)
+	st.SetShard(0, 0)
+	st.SetShard(1, cpu1Shard)
 
 	emit := func(cpu int, at int64, kind machine.EventKind, aux uint64) {
 		fed[cpu] = at
-		tl.Event(machine.Event{Kind: kind, CPU: cpu, Time: at, Aux: aux})
+		st.Event(machine.Event{Kind: kind, CPU: cpu, Time: at, Aux: aux})
 	}
 	// CPU 0 races ahead through window 2; windows 0 and 1 stay undelivered
 	// until CPU 1's stream passes their ends.
@@ -276,7 +291,7 @@ func TestTimelineMultipleSubscribers(t *testing.T) {
 		t.Fatalf("both CPUs past 200 should release window 1, got %d windows", len(got[0]))
 	}
 	finishing = true
-	tl.Finish(300)
+	st.Finish(300)
 
 	rep := tl.Report()
 	if len(rep.Windows) != 3 {
@@ -301,11 +316,19 @@ func TestTimelineMultipleSubscribers(t *testing.T) {
 			t.Errorf("window %d: live series differs from final report: %+v vs %+v", w, lw, fw)
 		}
 	}
-	// Spot-check the routed contents.
+	// Spot-check the routed contents: CPU 1's sections count only while
+	// it is inside the shard.
 	if got[0][0].TxBegins != 1 || got[0][0].CSEnds != 1 || got[0][0].CSWrites != 1 {
 		t.Errorf("window 0 = %+v, want 1 begin / 1 end / 1 write", got[0][0])
 	}
-	if got[0][1].CSEnds != 1 || got[0][1].CSWrites != 0 {
-		t.Errorf("window 1 = %+v, want the CPU-1 read section", got[0][1])
+	cpu1 := int64(0)
+	if cpu1Shard == 0 {
+		cpu1 = 1
+	}
+	if got[0][1].CSEnds != cpu1 || got[0][1].CSWrites != 0 {
+		t.Errorf("window 1 = %+v, want %d CPU-1 read section(s)", got[0][1], cpu1)
+	}
+	if got[0][2].TxBegins != 1+cpu1 {
+		t.Errorf("window 2 = %+v, want %d begins", got[0][2], 1+cpu1)
 	}
 }

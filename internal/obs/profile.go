@@ -31,7 +31,7 @@ func NewProfile(windowCycles int64, classes int) *Profile {
 // before machine.Run.
 func (p *Profile) Start(base int64, cpus int) {
 	p.Cycles.Start(base, cpus)
-	p.Timeline.Start(base, cpus)
+	p.Timeline.Start(base)
 }
 
 // Event implements machine.Tracer.

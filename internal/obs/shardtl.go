@@ -9,10 +9,9 @@ import "hrwle/internal/machine"
 // structure in the service layer); events from unattributed CPUs advance
 // time but belong to no shard.
 //
-// Delivery ordering is the subtle part. A per-shard Timeline's own
-// watermark is the minimum over *all* CPUs of the last event routed to
-// that shard — and a CPU that rarely visits a shard would hold that
-// shard's windows back forever. ShardTimelines therefore keeps a single
+// Delivery ordering is the subtle part. A watermark over the events routed
+// to one shard would let a CPU that rarely visits that shard hold its
+// windows back forever. ShardTimelines therefore keeps a single
 // machine-global watermark (the minimum over CPUs of the last event seen
 // from each, regardless of shard) and drives every shard's delivery from
 // it via Timeline.Advance: once no CPU can emit another event at or
@@ -25,8 +24,7 @@ type ShardTimelines struct {
 
 	cur  []int   // per-CPU current shard; -1 = unattributed
 	last []int64 // per-CPU global watermark input
-	base int64
-	mark int64 // cached global watermark (min over last)
+	mark int64   // cached global watermark (min over last)
 }
 
 // NewShardTimelines builds one Timeline per shard, all sharing the window
@@ -42,7 +40,7 @@ func NewShardTimelines(windowCycles int64, shards, classes int) *ShardTimelines 
 // Start fixes the window origin for a run driving `cpus` CPUs. Subscribe
 // to the per-shard timelines before calling it.
 func (st *ShardTimelines) Start(base int64, cpus int) {
-	st.base, st.mark = base, base
+	st.mark = base
 	st.cur = make([]int, cpus)
 	st.last = make([]int64, cpus)
 	for i := range st.cur {
@@ -50,7 +48,7 @@ func (st *ShardTimelines) Start(base int64, cpus int) {
 		st.last[i] = base
 	}
 	for _, tl := range st.Shards {
-		tl.Start(base, cpus)
+		tl.Start(base)
 	}
 }
 
@@ -65,7 +63,7 @@ func (st *ShardTimelines) Event(e machine.Event) {
 		return
 	}
 	if s := st.cur[e.CPU]; s >= 0 {
-		st.Shards[s].accumulate(e)
+		st.Shards[s].Event(e)
 	}
 	if e.Time <= st.last[e.CPU] {
 		return

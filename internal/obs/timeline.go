@@ -1,17 +1,15 @@
 package obs
 
 import (
-	"sort"
-
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 	"hrwle/internal/stats"
 )
 
 // TimelineWindow is one fixed-width virtual-time window of run telemetry:
-// the live signal the adaptive-controller work (ROADMAP item 2) will
-// consume, plus the open-system queue/latency series filled in after the
-// run from the request log. All per-category slices use the legend orders
+// the live signal the per-shard adaptive controller consumes, plus the
+// open-system queue/latency series filled in after the run from the
+// request log. All per-category slices use the legend orders
 // published in TimelineReport (stats commit-path and abort-cause order).
 type TimelineWindow struct {
 	Index       int   `json:"index"`
@@ -56,26 +54,24 @@ type tlWin struct {
 // machine.Tracer. Like CycleProf it is a pure event consumer: installing
 // it never changes virtual time, and the report is deterministic.
 //
-// Subscribe registers a callback that receives each window as soon as it
-// can no longer change — when every CPU's event stream has advanced past
-// its end (a watermark, not a clock: the simulator delivers events in
-// per-CPU time order). This is the shape the future per-shard adaptive
-// controller needs: a bounded-delay live signal, not an end-of-run dump.
-// Subscription callbacks see only the event-derived fields; the
-// request-derived series exist only after Finish.
+// Subscribe registers a callback that receives each window once, in index
+// order, when it is delivered: Advance(mark) delivers every window ending
+// at or before mark, and Finish delivers the rest. A standalone Timeline
+// delivers everything at Finish; ShardTimelines calls Advance from its
+// machine-global watermark (a watermark, not a clock: the simulator
+// delivers events in per-CPU time order), which gives the per-shard
+// controller a bounded-delay live signal. Subscription callbacks see only
+// the event-derived fields; the request-derived series exist only after
+// Finish.
 type Timeline struct {
 	window  int64
 	base    int64
 	end     int64
 	classes int
-	cpus    int
 
 	wins      []*tlWin
-	last      []int64 // per-CPU watermark: time of the last event seen
-	seen      []bool  // whether the CPU has emitted at all
 	subs      []func(TimelineWindow)
 	delivered int // windows already pushed to subscribers
-	finished  bool
 }
 
 // NewTimeline returns a collector with the given window width in cycles
@@ -93,17 +89,11 @@ func (tl *Timeline) Subscribe(fn func(TimelineWindow)) {
 	tl.subs = append(tl.subs, fn)
 }
 
-// Start fixes the window origin at base for a run driving `cpus` CPUs.
-func (tl *Timeline) Start(base int64, cpus int) {
-	tl.base, tl.end, tl.cpus = base, base, cpus
-	tl.last = make([]int64, cpus)
-	tl.seen = make([]bool, cpus)
-	for i := range tl.last {
-		tl.last[i] = base
-	}
+// Start fixes the window origin at base.
+func (tl *Timeline) Start(base int64) {
+	tl.base, tl.end = base, base
 	tl.wins = tl.wins[:0]
 	tl.delivered = 0
-	tl.finished = false
 }
 
 // win returns the accumulator for the window containing time t.
@@ -120,21 +110,6 @@ func (tl *Timeline) win(t int64) *tlWin {
 
 // Event implements machine.Tracer.
 func (tl *Timeline) Event(e machine.Event) {
-	tl.accumulate(e)
-	if e.CPU >= 0 && e.CPU < len(tl.last) {
-		if e.Time > tl.last[e.CPU] {
-			tl.last[e.CPU] = e.Time
-		}
-		tl.seen[e.CPU] = true
-		tl.deliver()
-	}
-}
-
-// accumulate folds one event into its window without touching the
-// watermark state. ShardTimelines routes events here directly: it owns a
-// single machine-global watermark, so the per-shard timelines must not
-// gate delivery on their own (necessarily sparser) event streams.
-func (tl *Timeline) accumulate(e machine.Event) {
 	switch e.Kind {
 	case machine.EvTxBegin:
 		tl.win(e.Time).txBegins++
@@ -161,42 +136,6 @@ func (tl *Timeline) accumulate(e machine.Event) {
 		// window in which it ends (the window split is not worth the cost
 		// at controller granularity).
 		tl.win(e.Time).lockWait += int64(e.Aux)
-	}
-}
-
-// watermark is the time below which no CPU can emit further events: the
-// minimum last-seen time across CPUs (CPUs that have emitted nothing yet
-// hold it at base).
-func (tl *Timeline) watermark() int64 {
-	w := int64(1)<<62 - 1
-	for i, t := range tl.last {
-		if !tl.seen[i] {
-			t = tl.base
-		}
-		if t < w {
-			w = t
-		}
-	}
-	if len(tl.last) == 0 {
-		w = tl.base
-	}
-	return w
-}
-
-// deliver pushes every window that ends at or before the watermark to the
-// subscribers, in index order.
-func (tl *Timeline) deliver() {
-	if len(tl.subs) == 0 {
-		return
-	}
-	mark := tl.watermark()
-	for tl.delivered < len(tl.wins) {
-		endT := tl.base + int64(tl.delivered+1)*tl.window
-		if endT > mark {
-			return
-		}
-		tl.push(tl.delivered)
-		tl.delivered++
 	}
 }
 
@@ -229,24 +168,7 @@ func (tl *Timeline) snapshot(w int) TimelineWindow {
 	copy(tw.Commits, src.commits[:])
 	copy(tw.Aborts, src.aborts[:])
 	if len(src.matrix) > 0 {
-		cells := make([]MatrixCell, 0, len(src.matrix))
-		for k, n := range src.matrix {
-			cells = append(cells, MatrixCell{
-				Cause: k.cause.String(), causeN: int(k.cause),
-				Killer: k.killer, Victim: k.victim, Count: n,
-			})
-		}
-		sort.Slice(cells, func(i, j int) bool {
-			a, b := cells[i], cells[j]
-			if a.causeN != b.causeN {
-				return a.causeN < b.causeN
-			}
-			if a.Killer != b.Killer {
-				return a.Killer < b.Killer
-			}
-			return a.Victim < b.Victim
-		})
-		tw.Matrix = cells
+		tw.Matrix = matrixCells(src.matrix)
 	}
 	if len(src.sojourn) > 0 {
 		tw.SojournP99 = make([]float64, len(src.sojourn))
@@ -260,9 +182,7 @@ func (tl *Timeline) snapshot(w int) TimelineWindow {
 // Advance delivers (and counts as delivered) every window that ends at or
 // before mark, materializing empty windows up to mark so that quiet
 // periods still produce subscription ticks. ShardTimelines drives this
-// from its machine-global watermark; the timeline's own per-CPU watermark
-// only ever lags it, so the shared `delivered` cursor keeps the two
-// delivery paths duplicate-free.
+// from its machine-global watermark.
 func (tl *Timeline) Advance(mark int64) {
 	if mark > tl.base {
 		tl.win(mark - 1)
@@ -312,7 +232,6 @@ func (tl *Timeline) Finish(end int64) {
 		end = tl.base
 	}
 	tl.end = end
-	tl.finished = true
 	// Make sure the window grid covers the whole run even if the tail was
 	// event-free.
 	if end > tl.base {

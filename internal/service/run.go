@@ -70,10 +70,9 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 		return nil, nil, nil, err
 	}
 
-	q := NewQueue(reqs, cfg.QueueCap, len(cfg.Classes))
 	// Late observers attach after structure population so they cover
 	// exactly the serving phase.
-	var late machine.MultiTracer
+	var late []machine.Tracer
 	if prof != nil {
 		prof.Start(m.Now(), cfg.Servers)
 		late = append(late, prof)
@@ -84,14 +83,44 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 		sys.SetTraceAccesses(true)
 		late = append(late, san)
 	}
+	cycles := Serve(&cfg, sys, reqs, ex, late...)
+	if prof != nil {
+		for i := range reqs {
+			r := &reqs[i]
+			prof.Timeline.AddRequest(r.Class, r.ArriveAt, r.DequeueAt, r.DoneAt, r.Dropped)
+		}
+		prof.Finish(m.Now())
+	}
+	var sanRep *simsan.Report
+	if san != nil {
+		sanRep = san.Finish()
+	}
+	b := stats.Merge(sys.Stats(cfg.Servers), cycles)
+	sys.Release()
+	return Assemble(&cfg, scheme, reqs, cycles, &b), reqs, sanRep, nil
+}
+
+// Serve is the open-system server loop: cfg.Servers simulated CPUs of
+// sys's machine dispatch reqs (the arrival schedule, in arrival order)
+// from a bounded strict-priority queue and run each through ex, recording
+// every request's server, dequeue and completion times, dominant commit
+// path and drop flag in place. late tracers are attached next to any
+// tracer already installed, so they cover exactly the serving phase.
+// Serve returns the machine's makespan in cycles.
+func Serve(cfg *Config, sys *htm.System, reqs []Request, ex Executor, late ...machine.Tracer) int64 {
+	m := sys.M
 	if len(late) > 0 {
-		if t := m.Tracer(); t != nil {
-			m.SetTracer(append(machine.MultiTracer{t}, late...))
-		} else {
-			m.SetTracer(late)
+		switch prev := m.Tracer(); {
+		case prev == nil && len(late) == 1:
+			m.SetTracer(late[0])
+		case prev == nil:
+			m.SetTracer(machine.MultiTracer(late))
+		default:
+			m.SetTracer(append(machine.MultiTracer{prev}, late...))
 		}
 	}
-	cycles := m.Run(cfg.Servers, func(c *machine.CPU) {
+	q := newQueue(reqs, cfg.QueueCap, len(cfg.Classes))
+	return m.Run(cfg.Servers, func(c *machine.CPU) {
 		th := sys.Thread(c.ID)
 		for {
 			// Sync makes this CPU the global minimum (time, ID), so the
@@ -108,37 +137,23 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 				// source of work, so this server is done.
 				return
 			}
-			r := &q.reqs[idx]
+			r := &reqs[idx]
 			r.Server = c.ID
 			r.DequeueAt = c.Now()
 			c.Tick(cfg.DispatchCycles)
 			c.Tick(r.Work) // pre-CS local compute (parse, app logic)
 			before := th.St.Commits
-			ex.exec(r, c, th)
-			r.Path = DominantPath(before, th.St.Commits)
+			ex.Exec(r, c, th)
+			r.Path = dominantPath(before, th.St.Commits)
 			r.DoneAt = c.Now()
 		}
 	})
-	if prof != nil {
-		for i := range q.reqs {
-			r := &q.reqs[i]
-			prof.Timeline.AddRequest(r.Class, r.ArriveAt, r.DequeueAt, r.DoneAt, r.Dropped)
-		}
-		prof.Finish(m.Now())
-	}
-	var sanRep *simsan.Report
-	if san != nil {
-		sanRep = san.Finish()
-	}
-	b := stats.Merge(sys.Stats(cfg.Servers), cycles)
-	sys.Release()
-	return Assemble(&cfg, scheme, q.reqs, cycles, &b), q.reqs, sanRep, nil
 }
 
-// DominantPath returns the commit path most of the request's critical
+// dominantPath returns the commit path most of the request's critical
 // sections took (ties break toward the smaller path index, i.e. the more
 // speculative path); -1 when no critical section committed a path delta.
-func DominantPath(before, after [stats.NumCommitPaths]int64) int8 {
+func dominantPath(before, after [stats.NumCommitPaths]int64) int8 {
 	best, bestN := -1, int64(0)
 	for i := 0; i < stats.NumCommitPaths; i++ {
 		if d := after[i] - before[i]; d > bestN {

@@ -11,13 +11,15 @@ import (
 	"hrwle/internal/tpcc"
 )
 
-// executor runs one request's structure work on the serving CPU. A
-// request of footprint k performs k operations, each inside its own
-// RW-LE-protected critical section; the per-op randomness comes from the
-// request's own schedule seed (hashmap) or the serving CPU's stream
-// (kyoto, tpcc), so either way the run is a pure function of the seeds.
-type executor interface {
-	exec(r *Request, c *machine.CPU, th *htm.Thread)
+// Executor runs one request's structure work on the serving CPU th
+// belongs to; Serve calls Exec with the CPU holding the virtual-time floor.
+// In the service workloads a request of footprint k performs k
+// operations, each inside its own RW-LE-protected critical section; the
+// per-op randomness comes from the request's own schedule seed (hashmap)
+// or the serving CPU's stream (kyoto, tpcc), so either way the run is a
+// pure function of the seeds.
+type Executor interface {
+	Exec(r *Request, c *machine.CPU, th *htm.Thread)
 }
 
 // memWords sizes simulated memory for the configured workload; totalOps
@@ -39,7 +41,7 @@ func (c *Config) memWords(totalOps int64) int64 {
 // newExecutor builds and populates the protected structure. scheme is the
 // lock scheme name; kyoto mirrors the Fig. 9 convention of eliding the
 // inner slot mutexes only under HLE.
-func newExecutor(cfg *Config, m *machine.Machine, sys *htm.System, lock rwlock.Lock, scheme string) (executor, error) {
+func newExecutor(cfg *Config, m *machine.Machine, sys *htm.System, lock rwlock.Lock, scheme string) (Executor, error) {
 	switch cfg.Workload {
 	case "hashmap":
 		return newHashExec(cfg, m, sys, lock), nil
@@ -80,7 +82,7 @@ type stepExec struct {
 	write, read stepper
 }
 
-func (e *stepExec) exec(r *Request, c *machine.CPU, th *htm.Thread) {
+func (e *stepExec) Exec(r *Request, c *machine.CPU, th *htm.Thread) {
 	d := e.read
 	if r.IsWrite {
 		d = e.write
@@ -130,7 +132,7 @@ func newHashExec(cfg *Config, m *machine.Machine, sys *htm.System, lock rwlock.L
 	return e
 }
 
-func (e *hashExec) exec(r *Request, c *machine.CPU, th *htm.Thread) {
+func (e *hashExec) Exec(r *Request, c *machine.CPU, th *htm.Thread) {
 	// Op parameters come from the request's own stream, fixed at schedule
 	// time: the work a request performs does not depend on which server
 	// picks it up.

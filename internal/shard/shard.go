@@ -180,15 +180,14 @@ type srv struct {
 	lookupCS, updateCS func()
 }
 
-// deployment wires the machine, the shards and the telemetry together.
+// deployment wires the machine, the shards and the telemetry together. It
+// is the service.Executor that service.Serve runs each request through.
 type deployment struct {
 	cfg     *Config
 	names   []string
 	shards  []shardState
 	srvs    []srv
 	tl      *obs.ShardTimelines
-	reqs    []service.Request
-	q       *service.Queue
 	sw      []SwitchEvent
 	perU    uint64 // per-shard key universe
 	nshards uint64
@@ -254,7 +253,6 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 		cfg:     &cfg,
 		shards:  make([]shardState, cfg.Shards),
 		srvs:    make([]srv, cfg.Servers),
-		reqs:    reqs,
 		nshards: uint64(cfg.Shards),
 	}
 	for _, s := range palette {
@@ -298,15 +296,8 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 			d.tl.Shards[s].Subscribe(func(w obs.TimelineWindow) { ctrl.Observe(s, w) })
 		}
 	}
-	if t := m.Tracer(); t != nil {
-		m.SetTracer(machine.MultiTracer{t, d.tl})
-	} else {
-		m.SetTracer(d.tl)
-	}
 	d.tl.Start(m.Now(), cfg.Servers)
-
-	d.q = service.NewQueue(reqs, cfg.QueueCap, len(cfg.Classes))
-	cycles := m.Run(cfg.Servers, d.serve)
+	cycles := service.Serve(&cfg.Config, sys, reqs, d, d.tl)
 
 	// Dropped requests never reached a server: attribute them to their
 	// primary shard's timeline post-run (served ones were fed live).
@@ -341,34 +332,15 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 	return res, nil
 }
 
-// serve is the per-CPU server loop: dispatch from the shared queue, route
-// by key, execute against the owning shard(s).
-func (d *deployment) serve(c *machine.CPU) {
-	cfg := d.cfg
-	th := d.srvs[c.ID].th
-	for {
-		c.Sync()
-		idx, ok := d.q.Pop(c.Now())
-		if !ok {
-			if t, more := d.q.NextArrival(); more {
-				c.IdleUntil(t)
-				continue
-			}
-			return
-		}
-		r := &d.reqs[idx]
-		r.Server = c.ID
-		r.DequeueAt = c.Now()
-		c.Tick(cfg.DispatchCycles)
-		c.Tick(r.Work)
-		before := th.St.Commits
-		primary := d.exec(c, th, r)
-		r.Path = service.DominantPath(before, th.St.Commits)
-		r.DoneAt = c.Now()
-		// Live telemetry: safe because the watermark cannot have passed
-		// this CPU's current instant (see Timeline.AddRequest).
-		d.tl.Shards[primary].AddRequest(r.Class, r.ArriveAt, r.DequeueAt, r.DoneAt, false)
-	}
+// Exec implements service.Executor: route the request by key, execute it
+// against the owning shard(s), and feed its primary shard's timeline live.
+// The completion instant is c.Now(): Serve records it as DoneAt with no
+// cycle in between.
+func (d *deployment) Exec(r *service.Request, c *machine.CPU, th *htm.Thread) {
+	primary := d.exec(c, th, r)
+	// Safe live: the watermark cannot have passed this CPU's current
+	// instant (see Timeline.AddRequest).
+	d.tl.Shards[primary].AddRequest(r.Class, r.ArriveAt, r.DequeueAt, c.Now(), false)
 }
 
 // exec runs one request's structure work and returns its primary shard.

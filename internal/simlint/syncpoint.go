@@ -7,11 +7,12 @@ import (
 )
 
 // syncpointScope lists the packages whose host-side shared state is
-// governed by the Sync discipline: the open-system service runner and the
-// sharded deployment keep queue/gate/counter state in host memory, which
-// is only sound because every mutation happens on a simulated CPU that has
-// passed CPU.Sync (it holds the global minimum (time, ID), so host state
-// evolves in nondecreasing virtual time at any host worker count).
+// governed by the Sync discipline: the open-system server loop
+// (service.Serve) and the sharded deployment it runs as an executor keep
+// queue/gate/counter state in host memory, which is only sound because
+// every mutation happens on a simulated CPU that has passed CPU.Sync (it
+// holds the global minimum (time, ID), so host state evolves in
+// nondecreasing virtual time at any host worker count).
 var syncpointScope = map[string]bool{
 	"hrwle/internal/service": true,
 	"hrwle/internal/shard":   true,
@@ -29,7 +30,8 @@ type SyncViol struct {
 // Anything positioned after a Sync is covered — the CPU holds the floor —
 // and a covered call site certifies the callee's whole continuation, so
 // covered regions need no summary. Exported for every declared function so
-// the shard runner's use of the service queue is checked across packages.
+// a server loop's bare calls into another scope package are checked across
+// packages.
 type SyncSummaryFact struct {
 	BareMuts    []SyncViol
 	BareCallees []*types.Func
@@ -38,18 +40,21 @@ type SyncSummaryFact struct {
 func (*SyncSummaryFact) AFact() {}
 
 // NewSyncpoint returns the syncpoint analyzer. Host-visible shared state
-// in the service and shard runners (the dispatch queue, shard gates,
+// in the service and shard packages (the dispatch queue, shard gates,
 // per-shard counters) must only be mutated under CPU.Sync coverage: on a
-// path, starting from the server loop handed to machine.Machine.Run, that
-// has passed a c.Sync() call. The analyzer walks the static call graph
-// from each Run loop, following only call edges that appear before the
-// caller's first Sync, and reports every shared mutation reachable that
-// way — state touched before the loop synchronizes is exactly the
-// PR 7/9 invariant violation that breaks run determinism across host
-// worker counts. Coverage is per-path and does not expire: a Sync
-// anywhere earlier on the call path certifies the continuation (the
-// counter-after-critical-section idiom), so intra-function reorders below
-// a first Sync are out of scope here and left to the determinism CI diff.
+// path, starting from the server loop handed to machine.Machine.Run (the
+// one in service.Serve), that has passed a c.Sync() call. Executors,
+// including the sharded deployment, are called from that loop after its
+// Sync, so their whole continuation is covered. The analyzer walks the
+// static call graph from each Run loop, following only call edges that
+// appear before the caller's first Sync, and reports every shared
+// mutation reachable that way — state touched before the loop
+// synchronizes is exactly the invariant violation that breaks run
+// determinism across host worker counts. Coverage is per-path and does
+// not expire: a Sync anywhere earlier on the call path certifies the
+// continuation (the counter-after-critical-section idiom), so
+// intra-function reorders below a first Sync are out of scope here and
+// left to the determinism CI diff.
 func NewSyncpoint() *Analyzer {
 	a := &Analyzer{
 		Name: "syncpoint",
